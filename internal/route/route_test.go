@@ -223,10 +223,19 @@ func TestRingArc(t *testing.T) {
 	if !arc[0].Eq(geom.Pt(50, 0), 1e-9) || !arc[len(arc)-1].Eq(geom.Pt(100, 50), 1e-9) {
 		t.Errorf("arc endpoints wrong: %v", arc)
 	}
-	// Wrapping arc.
+	// Wrapping arc: it must turn the corner at the ring's start vertex.
 	wrap := ringArc(ring, 350, 50)
 	if math.Abs(wrap.Length()-100) > 1e-9 {
 		t.Errorf("wrap length=%v want 100", wrap.Length())
+	}
+	want := geom.Polyline{geom.Pt(0, 50), geom.Pt(0, 0), geom.Pt(50, 0)}
+	if len(wrap) != len(want) {
+		t.Fatalf("wrap arc %v, want %v", wrap, want)
+	}
+	for i := range want {
+		if !wrap[i].Eq(want[i], 1e-9) {
+			t.Fatalf("wrap arc %v, want %v", wrap, want)
+		}
 	}
 	// Degenerate.
 	if d := ringArc(ring, 70, 70); d.Length() != 0 {
