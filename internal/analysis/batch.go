@@ -101,7 +101,7 @@ func stageMomentsBatchInto(s *Stage, rd, rs, cs, cdown, b, m1, m2 []float64) {
 // at the given corner — the time constant the transient engine sizes its
 // integration window from — without retaining the vectors. Scratch comes
 // from the kernel pool, so the call is allocation-free; the arithmetic and
-// the max scan order match StageElmoreAt exactly.
+// the max scan order match stageElmoreAt exactly.
 func StageElmoreMaxAt(s *Stage, rd float64, corner tech.Corner) float64 {
 	n := len(s.R)
 	ks := kernelPool.Get().(*kernelScratch)

@@ -48,11 +48,8 @@ func stageElmoreScaled(s *Stage, rd, rs, cs float64) []float64 {
 	return d
 }
 
-// stageElmore is the underated form.
-func stageElmore(s *Stage, rd float64) []float64 { return stageElmoreScaled(s, rd, 1, 1) }
-
-// stageElmoreAt is stageElmore with the corner's interconnect derates
-// applied.
+// stageElmoreAt is stageElmoreScaled with the corner's interconnect
+// derates applied.
 func stageElmoreAt(s *Stage, rd float64, corner tech.Corner) []float64 {
 	return stageElmoreScaled(s, rd, corner.RScale(), corner.CScale())
 }
@@ -110,25 +107,6 @@ func elmoreOnNet(net *Net, corner tech.Corner) *Result {
 		}
 	}
 	return res
-}
-
-// StageElmore returns the Elmore delay (ps) from the stage driver input to
-// every RC node of s, given the driver resistance rd. Exported for the
-// transient engine, which uses it to size simulation windows.
-func StageElmore(s *Stage, rd float64) []float64 { return stageElmore(s, rd) }
-
-// StageElmoreAt is StageElmore with the corner's interconnect derates
-// applied (identical to StageElmore for underated corners).
-func StageElmoreAt(s *Stage, rd float64, corner tech.Corner) []float64 {
-	return stageElmoreAt(s, rd, corner)
-}
-
-// SinkElmore returns only the per-sink Elmore latencies, as a convenience
-// for construction algorithms that do not need slews.
-func SinkElmore(tr *ctree.Tree, corner tech.Corner) map[int]float64 {
-	e := &Elmore{}
-	res, _ := e.Evaluate(tr, corner)
-	return res.Rise
 }
 
 // WorstStageTau returns the largest single-stage Elmore time constant in
@@ -198,13 +176,8 @@ func stageMomentsScaled(s *Stage, rd, rs, cs float64) (m1, m2 []float64) {
 	return m1, m2
 }
 
-// stageMoments is the underated form.
-func stageMoments(s *Stage, rd float64) (m1, m2 []float64) {
-	return stageMomentsScaled(s, rd, 1, 1)
-}
-
-// stageMomentsAt is stageMoments with the corner's interconnect derates
-// applied.
+// stageMomentsAt is stageMomentsScaled with the corner's interconnect
+// derates applied.
 func stageMomentsAt(s *Stage, rd float64, corner tech.Corner) (m1, m2 []float64) {
 	return stageMomentsScaled(s, rd, corner.RScale(), corner.CScale())
 }

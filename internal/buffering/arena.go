@@ -11,17 +11,26 @@ import (
 	"contango/internal/tech"
 )
 
-// Arena-native buffering: the insertion and polarity passes below operate on
-// ctree.Arena slot indices instead of pointer nodes. Every algorithm is a
-// line-for-line mirror of its pointer twin in balanced.go / vanginneken.go /
-// polarity.go / sweep.go — same traversal order, same sorts on the same
-// input orders, same floating-point expressions — and the arena mutators
-// they call are themselves bit-identical mirrors of the Tree mutators, so a
-// tree built through this path round-trips ToTree equal to the pointer
-// construction down to the last bit (pinned by the construction property
-// tests and the top-level envelope-parity test).
+// The insertion, polarity and sweep passes below operate on ctree.Arena
+// slot indices. Node IDs are assigned in a deterministic order (child lists
+// in order, buffer sites grouped per edge in first-seen order), so a build
+// is reproducible down to the persisted envelope.
 
-// BalancedInsertArena is BalancedInsert on an arena.
+// BalancedInsertArena places buffers bottom-up by load threshold: walking
+// from the sinks toward the root, a buffer is inserted whenever the
+// unbuffered load a driver would have to carry reaches a fraction of the
+// slew-safe capacitance. On an Elmore-balanced ZST this yields nearly
+// identical buffer counts on every source-to-sink path — the property the
+// paper relies on for low post-insertion skew ("source-to-sink paths
+// contain practically the same numbers of buffers", Section IV-C) — and it
+// is the flow's default insertion mode. The van Ginneken DP (InsertArena)
+// minimizes worst delay more aggressively and is kept for comparison and
+// ablation.
+//
+// A stage may carry 35% of the safe load. The deliberately deep margin
+// leaves slew headroom that the snaking and sizing passes spend later; the
+// slow corner and slew compounding through chains consume their share as
+// well.
 func BalancedInsertArena(a *ctree.Arena, comp tech.Composite, opt Options) (int, error) {
 	opt.defaults()
 	maxCap := opt.MaxCap
@@ -38,6 +47,12 @@ func BalancedInsertArena(a *ctree.Arena, comp tech.Composite, opt Options) (int,
 		n    int32
 		load float64
 	}
+	// process returns the unbuffered load at the TOP of n's parent edge
+	// after placing any buffers this subtree needs, together with the slot
+	// that now sits directly under the edge top (the last inserted buffer,
+	// or n itself) so that callers can decouple the corridor at the merge.
+	// The returned load never exceeds the threshold except at unrepairable
+	// merges (inside obstacles).
 	var process func(n int32) (float64, int32)
 	process = func(n int32) (float64, int32) {
 		load := 0.0
@@ -62,15 +77,21 @@ func BalancedInsertArena(a *ctree.Arena, comp tech.Composite, opt Options) (int,
 				if k.load <= comp.Cin()*1.25 {
 					break // decoupling replaces ~Cin with Cin: no benefit
 				}
-				pos := legalizePosArena(a, k.n, 0, opt)
+				pos := legalizePos(a, k.n, 0, opt)
 				b := a.InsertOnEdge(k.n, pos, ctree.Buffer)
 				a.SetBuf(b, comp)
 				added++
+				// If the site was nudged down the edge by an obstacle, the
+				// wire above the new buffer still loads this merge.
 				contrib := comp.Cin() + a.EdgeCap(b)
 				kids[i] = kid{b, contrib}
 				load += contrib - k.load
 			}
-			// Repair 2: sink clusters — many near-Cin children at one point.
+			// Repair 2: sink clusters — many near-Cin children at one
+			// point. Partition the children into slew-safe groups, each
+			// driven by its own buffer at the merge location. Skipped when
+			// the merge sits inside an obstacle (no legal site there); such
+			// regions were bounded by the legalizer's slew-free test.
 			mergeLegal := opt.Obs == nil || !opt.Obs.BlocksPoint(a.Loc[n])
 			for mergeLegal && load > threshold && len(kids) > 1 {
 				b := a.AddChildL(n, ctree.Buffer, a.Loc[n])
@@ -102,11 +123,14 @@ func BalancedInsertArena(a *ctree.Arena, comp tech.Composite, opt Options) (int,
 		}
 		w := a.Tech.Wires[a.WidthIdx[n]]
 		length := a.EdgeLen(n)
+		// Walk the edge bottom-up; insert a buffer each time the running
+		// load hits the threshold. Positions are electrical distances from
+		// the child end.
 		fromBottom := 0.0
 		for {
 			if load >= threshold {
-				// Threshold already exceeded at the current point: buffer
-				// right here.
+				// Threshold already exceeded at the current point (fat
+				// merge inside an obstacle): buffer right here.
 			} else {
 				room := (threshold - load) / w.CPerUm
 				if fromBottom+room >= length {
@@ -115,11 +139,12 @@ func BalancedInsertArena(a *ctree.Arena, comp tech.Composite, opt Options) (int,
 				fromBottom += room
 				load = threshold
 			}
-			d := length - fromBottom
-			pos := legalizePosArena(a, n, d, opt)
+			d := length - fromBottom // electrical distance from parent
+			pos := legalizePos(a, n, d, opt)
 			b := a.InsertOnEdge(n, pos, ctree.Buffer)
 			a.SetBuf(b, comp)
 			added++
+			// Continue up the (new, shorter) parent edge of b.
 			load = comp.Cin()
 			length = a.EdgeLen(b)
 			n = b
@@ -128,11 +153,13 @@ func BalancedInsertArena(a *ctree.Arena, comp tech.Composite, opt Options) (int,
 		return load + (length-fromBottom)*w.CPerUm, n
 	}
 
+	// The clock source is a plain resistive driver with no regenerative
+	// gain, so it gets its own (usually much smaller) slew-safe load bound.
 	srcSafe := 0.45 * a.Tech.SlewLimit / (2.2 * a.SourceR)
 	for _, c := range append([]int32(nil), a.Children(a.Root())...) {
 		top, topNode := process(c)
 		if (top > srcSafe || top > maxCap) && a.EdgeLen(topNode) >= 0 {
-			pos := legalizePosArena(a, topNode, 0, opt)
+			pos := legalizePos(a, topNode, 0, opt)
 			b := a.InsertOnEdge(topNode, pos, ctree.Buffer)
 			a.SetBuf(b, comp)
 			added++
@@ -141,8 +168,10 @@ func BalancedInsertArena(a *ctree.Arena, comp tech.Composite, opt Options) (int,
 	return added, nil
 }
 
-// legalizePosArena mirrors legalizePos on a slot index.
-func legalizePosArena(a *ctree.Arena, n int32, d float64, opt Options) float64 {
+// legalizePos converts an electrical distance-from-parent on n's parent
+// edge into a geometric route position and nudges it off obstacles
+// (preferring upward, toward the parent).
+func legalizePos(a *ctree.Arena, n int32, d float64, opt Options) float64 {
 	route := a.Route(n)
 	scale := 1.0
 	if el := a.EdgeLen(n); el > 0 {
@@ -166,39 +195,39 @@ func legalizePosArena(a *ctree.Arena, n int32, d float64, opt Options) float64 {
 	return pos
 }
 
-// --- van Ginneken DP on slots ---
-
-// abufPos is bufPos with a slot-index edge.
-type abufPos struct {
+// bufPos identifies a chosen buffer site: on the parent edge of slot edge,
+// at electrical distance dist from the parent.
+type bufPos struct {
 	edge int32
 	dist float64
 }
 
-type aplist struct {
-	pos         abufPos
+// plist is a persistent list of buffer placements with O(1) concatenation.
+type plist struct {
+	pos         bufPos
 	leaf        bool
-	left, right *aplist
+	left, right *plist
 }
 
-func aCons(pos abufPos, rest *aplist) *aplist {
-	leaf := &aplist{pos: pos, leaf: true}
+func cons(pos bufPos, rest *plist) *plist {
+	leaf := &plist{pos: pos, leaf: true}
 	if rest == nil {
 		return leaf
 	}
-	return &aplist{left: leaf, right: rest}
+	return &plist{left: leaf, right: rest}
 }
 
-func aJoin(a, b *aplist) *aplist {
+func join(a, b *plist) *plist {
 	if a == nil {
 		return b
 	}
 	if b == nil {
 		return a
 	}
-	return &aplist{left: a, right: b}
+	return &plist{left: a, right: b}
 }
 
-func (p *aplist) collect(out *[]abufPos) {
+func (p *plist) collect(out *[]bufPos) {
 	if p == nil {
 		return
 	}
@@ -210,13 +239,17 @@ func (p *aplist) collect(out *[]abufPos) {
 	p.right.collect(out)
 }
 
-type aOption struct {
+// option is one Pareto point of the DP: downstream cap seen from here and
+// the worst delay from here to any downstream sink, with the placements
+// that realize it.
+type option struct {
 	cap   float64
 	delay float64
-	bufs  *aplist
+	bufs  *plist
 }
 
-type arenaInserter struct {
+// inserter runs van Ginneken insertion for one composite buffer.
+type inserter struct {
 	a    *ctree.Arena
 	comp tech.Composite
 	opt  Options
@@ -224,10 +257,13 @@ type arenaInserter struct {
 	maxCap float64
 }
 
-// InsertArena is Insert (van Ginneken DP) on an arena.
+// InsertArena places buffers of the given composite throughout the tree
+// with the van Ginneken DP, minimizing worst Elmore source-to-sink delay
+// subject to the slew-safe load cap. It returns the number of buffers
+// added.
 func InsertArena(a *ctree.Arena, comp tech.Composite, opt Options) (int, error) {
 	opt.defaults()
-	ins := &arenaInserter{a: a, comp: comp, opt: opt}
+	ins := &inserter{a: a, comp: comp, opt: opt}
 	ins.maxCap = opt.MaxCap
 	if ins.maxCap == 0 {
 		ins.maxCap = SafeLoad(a.Tech, comp)
@@ -236,7 +272,8 @@ func InsertArena(a *ctree.Arena, comp tech.Composite, opt Options) (int, error) 
 		return 0, fmt.Errorf("buffering: composite %v cannot even drive its own input cap", comp)
 	}
 
-	var rootOpts []aOption
+	// Bottom-up DP from each root child.
+	var rootOpts []option
 	for i, c := range a.Children(a.Root()) {
 		co := ins.edgeOptions(c)
 		if i == 0 {
@@ -248,6 +285,8 @@ func InsertArena(a *ctree.Arena, comp tech.Composite, opt Options) (int, error) 
 	if len(rootOpts) == 0 {
 		return 0, nil // empty tree
 	}
+	// Pick the option minimizing source delay; the source must also be able
+	// to drive it safely.
 	best := -1
 	bestScore := math.Inf(1)
 	for i, o := range rootOpts {
@@ -259,17 +298,19 @@ func InsertArena(a *ctree.Arena, comp tech.Composite, opt Options) (int, error) 
 			best, bestScore = i, score
 		}
 	}
-	var poss []abufPos
+	var poss []bufPos
 	rootOpts[best].bufs.collect(&poss)
 	return ins.realize(poss), nil
 }
 
-func (ins *arenaInserter) edgeOptions(n int32) []aOption {
+// edgeOptions computes the option list looking down slot n's parent edge
+// from the parent end.
+func (ins *inserter) edgeOptions(n int32) []option {
 	a := ins.a
-	var opts []aOption
+	var opts []option
 	switch a.Kind[n] {
 	case ctree.Sink:
-		opts = []aOption{{cap: a.SinkCap[n], delay: 0}}
+		opts = []option{{cap: a.SinkCap[n], delay: 0}}
 	default:
 		for i, c := range a.Children(n) {
 			co := ins.edgeOptions(c)
@@ -280,10 +321,11 @@ func (ins *arenaInserter) edgeOptions(n int32) []aOption {
 			}
 		}
 		if len(opts) == 0 { // childless internal node: pure stub
-			opts = []aOption{{cap: 0, delay: 0}}
+			opts = []option{{cap: 0, delay: 0}}
 		}
 	}
 
+	// Walk up the edge, adding wire and offering buffer sites.
 	w := a.Tech.Wires[a.WidthIdx[n]]
 	length := a.EdgeLen(n)
 	cands := ins.candidates(length)
@@ -299,7 +341,9 @@ func (ins *arenaInserter) edgeOptions(n int32) []aOption {
 	return ins.prune(opts)
 }
 
-func (ins *arenaInserter) candidates(length float64) []float64 {
+// candidates returns buffer positions (distance from parent) in descending
+// order: spaced Step apart measured from the child end, plus the edge top.
+func (ins *inserter) candidates(length float64) []float64 {
 	var out []float64
 	for d := length - ins.opt.Step; d > 0; d -= ins.opt.Step {
 		out = append(out, d)
@@ -308,7 +352,10 @@ func (ins *arenaInserter) candidates(length float64) []float64 {
 	return out
 }
 
-func (ins *arenaInserter) blocked(n int32, dist, length float64) bool {
+// blocked reports whether the candidate site sits strictly inside an
+// obstacle. The geometric position ignores snaking (snake length is assumed
+// to be realized near the site's neighborhood).
+func (ins *inserter) blocked(n int32, dist, length float64) bool {
 	if ins.opt.Obs == nil {
 		return false
 	}
@@ -321,14 +368,15 @@ func (ins *arenaInserter) blocked(n int32, dist, length float64) bool {
 	return ins.opt.Obs.BlocksPoint(route.At(frac * geo))
 }
 
-func (ins *arenaInserter) addWire(opts []aOption, w tech.WireType, dl float64) []aOption {
+// addWire extends every option upward through dl µm of wire.
+func (ins *inserter) addWire(opts []option, w tech.WireType, dl float64) []option {
 	if dl <= 0 {
 		return opts
 	}
 	r, c := w.RPerUm*dl, w.CPerUm*dl
-	out := make([]aOption, len(opts))
+	out := make([]option, len(opts))
 	for i, o := range opts {
-		out[i] = aOption{
+		out[i] = option{
 			cap:   o.cap + c,
 			delay: o.delay + r*(c/2+o.cap),
 			bufs:  o.bufs,
@@ -337,7 +385,9 @@ func (ins *arenaInserter) addWire(opts []aOption, w tech.WireType, dl float64) [
 	return ins.prune(out)
 }
 
-func (ins *arenaInserter) offerBuffer(opts []aOption, n int32, dist float64) []aOption {
+// offerBuffer adds the buffered alternative at the site (n, dist): a buffer
+// driving the best downstream option.
+func (ins *inserter) offerBuffer(opts []option, n int32, dist float64) []option {
 	comp := ins.comp
 	bestScore := math.Inf(1)
 	bi := -1
@@ -352,29 +402,33 @@ func (ins *arenaInserter) offerBuffer(opts []aOption, n int32, dist float64) []a
 	if bi < 0 {
 		return opts
 	}
-	buffered := aOption{
+	buffered := option{
 		cap:   comp.Cin(),
 		delay: bestScore,
-		bufs:  aCons(abufPos{edge: n, dist: dist}, opts[bi].bufs),
+		bufs:  cons(bufPos{edge: n, dist: dist}, opts[bi].bufs),
 	}
 	return ins.prune(append(opts, buffered))
 }
 
-func (ins *arenaInserter) mergeOptions(a, b []aOption) []aOption {
-	out := make([]aOption, 0, len(a)+len(b))
+// mergeOptions combines option lists of sibling subtrees at their common
+// parent node: caps add, delays take the max.
+func (ins *inserter) mergeOptions(a, b []option) []option {
+	out := make([]option, 0, len(a)+len(b))
 	for _, x := range a {
 		for _, y := range b {
-			out = append(out, aOption{
+			out = append(out, option{
 				cap:   x.cap + y.cap,
 				delay: math.Max(x.delay, y.delay),
-				bufs:  aJoin(x.bufs, y.bufs),
+				bufs:  join(x.bufs, y.bufs),
 			})
 		}
 	}
 	return ins.prune(out)
 }
 
-func (ins *arenaInserter) prune(opts []aOption) []aOption {
+// prune removes dominated options (another option with <= cap and <= delay),
+// drops slew-hopeless options when safe ones exist, and caps the list.
+func (ins *inserter) prune(opts []option) []option {
 	if len(opts) <= 1 {
 		return opts
 	}
@@ -392,6 +446,7 @@ func (ins *arenaInserter) prune(opts []aOption) []aOption {
 			bestDelay = o.delay
 		}
 	}
+	// Enforce the slew-safe cap when any option satisfies it.
 	if out[0].cap <= ins.maxCap {
 		cut := len(out)
 		for i, o := range out {
@@ -405,19 +460,24 @@ func (ins *arenaInserter) prune(opts []aOption) []aOption {
 		out = out[:1] // keep the least-bad option; flagged later by CNE
 	}
 	if len(out) > ins.opt.MaxOptions {
-		kept := make([]aOption, 0, ins.opt.MaxOptions)
+		// Keep the extremes and evenly thin the middle.
+		kept := make([]option, 0, ins.opt.MaxOptions)
 		stridef := float64(len(out)-1) / float64(ins.opt.MaxOptions-1)
 		for i := 0; i < ins.opt.MaxOptions; i++ {
 			kept = append(kept, out[int(float64(i)*stridef+0.5)])
 		}
 		out = kept
 	}
-	return append([]aOption(nil), out...)
+	return append([]option(nil), out...)
 }
 
-// realize mirrors Inserter.realize, grouping positions per edge in
-// first-seen order so node-ID assignment matches the pointer path exactly.
-func (ins *arenaInserter) realize(poss []abufPos) int {
+// realize inserts buffer nodes at the chosen positions. DP distances are
+// electrical (they include snaking); they are scaled onto the geometric
+// route before splitting. Positions on the same edge are applied top-down so
+// later distances stay valid.
+func (ins *inserter) realize(poss []bufPos) int {
+	// Group by edge in first-seen order: iterating a map here would make
+	// node-ID assignment (and hence encoded artifacts) vary run to run.
 	byEdge := map[int32][]float64{}
 	var edges []int32
 	for _, p := range poss {
@@ -448,8 +508,20 @@ func (ins *arenaInserter) realize(poss []abufPos) int {
 	return added
 }
 
-// CorrectPolarityArena is CorrectPolarity on an arena: same bottom-up
-// uniform-polarity marking, same minimal antichain, same insertion sites.
+// CorrectPolarityArena fixes inverted sinks after inverter-based buffer
+// insertion (paper Section IV-D, Proposition 2). It traverses the tree
+// bottom-up and marks each node (i) whose downstream sinks all share one
+// polarity while (ii) its parent's do not; an inverter is inserted just
+// above every marked node whose sinks are inverted. The algorithm runs in
+// O(n), corrects every inverted sink, and adds the minimum possible number
+// of inverters subject to at most one added inverter on any root-to-sink
+// path (the added set must be an antichain whose subtrees exactly cover the
+// inverted sinks, and the maximal uniformly-inverted subtree roots are that
+// minimum antichain).
+//
+// Inserted inverters use the given composite. Sites inside obstacles are
+// slid up the edge to the nearest legal spot. It returns the inverters
+// added.
 func CorrectPolarityArena(a *ctree.Arena, inv tech.Composite, obs *geom.ObstacleSet) int {
 	n := a.Len()
 	// parity[i]: #inverters on the root path, mod 2 (sinks want 0).
@@ -489,6 +561,8 @@ func CorrectPolarityArena(a *ctree.Arena, inv tech.Composite, obs *geom.Obstacle
 		uniform[i] = u
 	})
 
+	// Marked nodes: uniform subtrees whose parent is not uniform. The root
+	// counts as marked when the whole tree is uniform.
 	var marked []int32
 	a.PreOrder(func(i int32) {
 		if u := uniform[i]; u == 0 || u == 1 {
@@ -519,7 +593,7 @@ func CorrectPolarityArena(a *ctree.Arena, inv tech.Composite, obs *geom.Obstacle
 			added++
 			continue
 		}
-		insertInverterAboveArena(a, site, a.Route(site).Length(), inv, obs)
+		insertInverterAbove(a, site, a.Route(site).Length(), inv, obs)
 		added++
 	}
 	return added
@@ -542,12 +616,14 @@ func CorrectSinkPolarityArena(a *ctree.Arena, sink int32, inv tech.Composite, ob
 	if p == 0 {
 		return 0
 	}
-	insertInverterAboveArena(a, sink, a.Route(sink).Length(), inv, obs)
+	insertInverterAbove(a, sink, a.Route(sink).Length(), inv, obs)
 	return 1
 }
 
-// insertInverterAboveArena mirrors insertInverterAbove on a slot index.
-func insertInverterAboveArena(a *ctree.Arena, n int32, d float64, inv tech.Composite, obs *geom.ObstacleSet) int32 {
+// insertInverterAbove splits slot n's parent edge at route distance d from
+// the parent and places an inverter there, sliding up toward the parent
+// when the spot is inside an obstacle.
+func insertInverterAbove(a *ctree.Arena, n int32, d float64, inv tech.Composite, obs *geom.ObstacleSet) int32 {
 	if obs != nil {
 		step := 25.0
 		route := a.Route(n)
@@ -564,7 +640,7 @@ func insertInverterAboveArena(a *ctree.Arena, n int32, d float64, inv tech.Compo
 }
 
 // InvertedSinksArena returns the sinks whose current polarity differs from
-// the source (parity 1), in pre-order — InvertedSinks on slots.
+// the source (parity 1), in pre-order. Used for Table II and by tests.
 func InvertedSinksArena(a *ctree.Arena) []int32 {
 	var out []int32
 	var walk func(i int32, p int)
@@ -583,17 +659,34 @@ func InvertedSinksArena(a *ctree.Arena) []int32 {
 	return out
 }
 
-// InsertBestCompositeArena is InsertBestComposite on an arena: candidate
-// insertions fan out over flat-copy arena clones, and only the Elmore
-// judging of each candidate materializes a pointer tree (the decision
-// sequence — budget test, slew test, fallback ranking — is identical to the
-// pointer sweep because the materialized tree is bit-identical to the
-// pointer path's clone).
+// SweepResult reports the outcome of the composite-configuration sweep.
+type SweepResult struct {
+	Composite tech.Composite
+	Added     int
+	TotalCap  float64
+	WorstLat  float64 // Elmore worst source-to-sink latency, ps
+}
+
+// InsertBestCompositeArena implements the paper's Section IV-C strategy:
+// run fast buffer insertion with each composite configuration from the
+// ladder and keep the solution with the strongest composite whose total
+// capacitance stays within (1−gamma) of the capacitance limit — the gamma
+// reserve (10% in the paper) is left for the downstream SPICE-driven
+// optimizations.
+//
+// The arena is replaced by the winning solution. Candidates are tried from
+// strongest to weakest so the first admissible one wins; ties in strength
+// never occur because the ladder is strictly ordered. Each candidate is
+// built on a flat-copy clone, and only its Elmore judging materializes a
+// pointer tree.
 func InsertBestCompositeArena(a *ctree.Arena, ladder []tech.Composite, capLimit, gamma float64, opt Options) (*SweepResult, error) {
 	if len(ladder) == 0 {
 		return nil, fmt.Errorf("buffering: empty composite ladder")
 	}
 	budget := (1 - gamma) * capLimit
+	// The sweep judges candidates at the set's reference corner; going
+	// through the role accessor (not index 0) keeps custom corner sets —
+	// where the fast corner may sit anywhere — evaluating the right one.
 	corner := a.Tech.Reference()
 
 	insert := InsertArena
@@ -624,6 +717,8 @@ func InsertBestCompositeArena(a *ctree.Arena, ladder []tech.Composite, capLimit,
 			best, bestArena = cand, work
 			break
 		}
+		// Remember the least-bad fallback in case nothing fits: fewest
+		// slew violations first, then lowest worst latency.
 		if best == nil || res.SlewViol < bestViol ||
 			(res.SlewViol == bestViol && cand.WorstLat < best.WorstLat) {
 			best, bestArena, bestViol = cand, work, res.SlewViol
@@ -677,7 +772,7 @@ func RebufferSinkArena(a *ctree.Arena, sink int32, comp tech.Composite, opt Opti
 		return 0
 	}
 	opt.defaults()
-	ins := &arenaInserter{a: a, comp: comp, opt: opt}
+	ins := &inserter{a: a, comp: comp, opt: opt}
 	ins.maxCap = opt.MaxCap
 	if ins.maxCap == 0 {
 		ins.maxCap = SafeLoad(a.Tech, comp)
@@ -712,7 +807,7 @@ func RebufferSinkArena(a *ctree.Arena, sink int32, comp tech.Composite, opt Opti
 	if best < 0 {
 		return 0
 	}
-	var poss []abufPos
+	var poss []bufPos
 	opts[best].bufs.collect(&poss)
 	return ins.realize(poss)
 }

@@ -16,6 +16,16 @@ func comp8(tk *tech.Tech) tech.Composite {
 	return tech.Composite{Type: tk.Inverters[1], N: 8}
 }
 
+// toTree converts an arena to pointer form for the analysis package.
+func toTree(t *testing.T, a *ctree.Arena) *ctree.Tree {
+	t.Helper()
+	tr, err := a.ToTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 func TestInsertFixesSlewOnLongLine(t *testing.T) {
 	tk := tech.Default45()
 	tr := ctree.New(tk, geom.Pt(0, 0), 0.1)
@@ -24,16 +34,18 @@ func TestInsertFixesSlewOnLongLine(t *testing.T) {
 	if res0.SlewViol == 0 {
 		t.Fatal("test needs an initial slew violation")
 	}
-	added, err := Insert(tr, comp8(tk), Options{})
+	a := ctree.FromTree(tr)
+	added, err := InsertArena(a, comp8(tk), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if added == 0 {
 		t.Fatal("no buffers inserted on a 12 mm line")
 	}
-	if err := tr.Validate(); err != nil {
+	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	tr = toTree(t, a)
 	res1, _ := (&analysis.Elmore{}).Evaluate(tr, tk.Reference())
 	if res1.SlewViol != 0 {
 		t.Errorf("slew violations remain: %d (max %v)", res1.SlewViol, res1.MaxSlew)
@@ -56,13 +68,13 @@ func TestEveryStageWithinSafeLoad(t *testing.T) {
 			Cap: 20 + rng.Float64()*30,
 		})
 	}
-	tr := dme.BuildZST(tk, geom.Pt(0, 4500), sinks, dme.Options{})
+	a := dme.BuildZSTArena(tk, geom.Pt(0, 4500), sinks, dme.Options{})
 	comp := comp8(tk)
-	if _, err := Insert(tr, comp, Options{}); err != nil {
+	if _, err := InsertArena(a, comp, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	safe := SafeLoad(tk, comp)
-	net := analysis.Extract(tr, 0)
+	net := analysis.Extract(toTree(t, a), 0)
 	for _, s := range net.Stages {
 		if s.Driver == nil {
 			continue
@@ -78,14 +90,15 @@ func TestBuffersAvoidObstacles(t *testing.T) {
 	obs := geom.NewObstacleSet([]geom.Obstacle{{Rect: geom.NewRect(2000, -500, 9000, 500)}})
 	tr := ctree.New(tk, geom.Pt(0, 0), 0.1)
 	tr.AddSink(tr.Root, geom.Pt(11000, 0), 35, "far") // wire runs straight over the macro
-	added, err := Insert(tr, comp8(tk), Options{Obs: obs})
+	a := ctree.FromTree(tr)
+	added, err := InsertArena(a, comp8(tk), Options{Obs: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if added == 0 {
 		t.Fatal("expected buffers")
 	}
-	for _, b := range tr.Buffers() {
+	for _, b := range toTree(t, a).Buffers() {
 		if obs.BlocksPoint(b.Loc) {
 			t.Errorf("buffer %d placed inside obstacle at %v", b.ID, b.Loc)
 		}
@@ -95,13 +108,16 @@ func TestBuffersAvoidObstacles(t *testing.T) {
 func TestMultipleBuffersOneEdgeOrdered(t *testing.T) {
 	tk := tech.Default45()
 	tr := ctree.New(tk, geom.Pt(0, 0), 0.1)
-	s := tr.AddSink(tr.Root, geom.Pt(20000, 0), 35, "far")
-	if _, err := Insert(tr, comp8(tk), Options{}); err != nil {
+	tr.AddSink(tr.Root, geom.Pt(20000, 0), 35, "far")
+	a := ctree.FromTree(tr)
+	if _, err := InsertArena(a, comp8(tk), Options{}); err != nil {
 		t.Fatal(err)
 	}
+	tr = toTree(t, a)
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	s := tr.Sinks()[0]
 	// Walking from the sink upward must reach the root, visiting each
 	// buffer once, with strictly increasing distance-to-sink.
 	n := 0
@@ -128,13 +144,14 @@ func TestInsertPreservesSinksProperty(t *testing.T) {
 				Cap: 15 + rng.Float64()*40,
 			})
 		}
-		tr := dme.BuildZST(tk, geom.Pt(0, 0), sinks, dme.Options{})
-		if _, err := Insert(tr, comp8(tk), Options{}); err != nil {
+		a := dme.BuildZSTArena(tk, geom.Pt(0, 0), sinks, dme.Options{})
+		if _, err := InsertArena(a, comp8(tk), Options{}); err != nil {
 			t.Fatal(err)
 		}
-		if err := tr.Validate(); err != nil {
+		if err := a.Validate(); err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
+		tr := toTree(t, a)
 		if got := len(tr.Sinks()); got != n {
 			t.Fatalf("iter %d: sinks %d -> %d", iter, n, got)
 		}
@@ -156,25 +173,25 @@ func TestInsertBestCompositePicksStrongestFitting(t *testing.T) {
 			Cap: 20 + rng.Float64()*30,
 		})
 	}
-	tr := dme.BuildZST(tk, geom.Pt(0, 3000), sinks, dme.Options{})
+	a := dme.BuildZSTArena(tk, geom.Pt(0, 3000), sinks, dme.Options{})
 	ladder := tk.BatchLadder("Small", 8)
-	capLimit := tr.TotalCap() * 4
-	res, err := InsertBestComposite(tr, ladder, capLimit, 0.10, Options{})
+	capLimit := a.TotalCap() * 4
+	res, err := InsertBestCompositeArena(a, ladder, capLimit, 0.10, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.TotalCap > 0.9*capLimit {
 		t.Errorf("cap %v exceeds 90%% budget of %v", res.TotalCap, capLimit)
 	}
-	if err := tr.Validate(); err != nil {
+	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Buffers()) != res.Added {
-		t.Errorf("added=%d but tree has %d buffers", res.Added, len(tr.Buffers()))
+	if got := len(toTree(t, a).Buffers()); got != res.Added {
+		t.Errorf("added=%d but tree has %d buffers", res.Added, got)
 	}
 	// A tighter budget must pick a weaker (or equal) composite.
-	tr2 := dme.BuildZST(tk, geom.Pt(0, 3000), sinks, dme.Options{})
-	res2, err := InsertBestComposite(tr2, ladder, capLimit/3, 0.10, Options{})
+	a2 := dme.BuildZSTArena(tk, geom.Pt(0, 3000), sinks, dme.Options{})
+	res2, err := InsertBestCompositeArena(a2, ladder, capLimit/3, 0.10, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,20 +210,17 @@ func TestPolarityCorrection(t *testing.T) {
 			Cap: 20 + rng.Float64()*30,
 		})
 	}
-	tr := dme.BuildZST(tk, geom.Pt(0, 0), sinks, dme.Options{})
-	if _, err := Insert(tr, comp8(tk), Options{}); err != nil {
+	a := dme.BuildZSTArena(tk, geom.Pt(0, 0), sinks, dme.Options{})
+	if _, err := InsertArena(a, comp8(tk), Options{}); err != nil {
 		t.Fatal(err)
 	}
-	inverted := len(InvertedSinks(tr))
-	buffersBefore := map[int]bool{}
-	for _, b := range tr.Buffers() {
-		buffersBefore[b.ID] = true
-	}
-	added := CorrectPolarity(tr, tech.Composite{Type: tk.Inverters[1], N: 2}, nil)
-	if err := tr.Validate(); err != nil {
+	inverted := len(InvertedSinksArena(a))
+	before := a.Len() // slots are append-only: added inverters land past it
+	added := CorrectPolarityArena(a, tech.Composite{Type: tk.Inverters[1], N: 2}, nil)
+	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(InvertedSinks(tr)); got != 0 {
+	if got := len(InvertedSinksArena(a)); got != 0 {
 		t.Fatalf("%d sinks still inverted after correction", got)
 	}
 	if inverted > 0 && added == 0 {
@@ -216,15 +230,15 @@ func TestPolarityCorrection(t *testing.T) {
 		t.Errorf("added %d inverters for %d inverted sinks (worse than naive)", added, inverted)
 	}
 	// At most one ADDED inverter on any root-to-sink path.
-	for _, s := range tr.Sinks() {
+	for _, s := range a.Sinks() {
 		cnt := 0
-		for cur := s; cur != nil; cur = cur.Parent {
-			if cur.Kind == ctree.Buffer && !buffersBefore[cur.ID] {
+		for cur := s; cur >= 0; cur = a.Parent[cur] {
+			if a.Kind[cur] == ctree.Buffer && int(cur) >= before {
 				cnt++
 			}
 		}
 		if cnt > 1 {
-			t.Errorf("sink %d has %d added inverters on its path", s.ID, cnt)
+			t.Errorf("sink %d has %d added inverters on its path", s, cnt)
 		}
 	}
 }
@@ -263,12 +277,13 @@ func TestPolarityMinimalityVsBruteForce(t *testing.T) {
 		if nSinks == 0 {
 			continue
 		}
-		want := bruteForceMinInverters(tr)
-		got := CorrectPolarity(tr, inv, nil)
+		a := ctree.FromTree(tr)
+		want := bruteForceMinInverters(a)
+		got := CorrectPolarityArena(a, inv, nil)
 		if got != want {
 			t.Fatalf("iter %d: algorithm added %d, brute force needs %d", iter, got, want)
 		}
-		if len(InvertedSinks(tr)) != 0 {
+		if len(InvertedSinksArena(a)) != 0 {
 			t.Fatalf("iter %d: sinks remain inverted", iter)
 		}
 	}
@@ -277,16 +292,16 @@ func TestPolarityMinimalityVsBruteForce(t *testing.T) {
 // bruteForceMinInverters finds the minimum number of insert-above-node
 // actions that flips exactly the inverted sinks, with at most one action per
 // root-to-sink path.
-func bruteForceMinInverters(tr *ctree.Tree) int {
-	var all []*ctree.Node
-	tr.PreOrder(func(n *ctree.Node) { all = append(all, n) })
-	sinks := tr.Sinks()
-	wrong := map[int]bool{}
-	for _, s := range InvertedSinks(tr) {
-		wrong[s.ID] = true
+func bruteForceMinInverters(a *ctree.Arena) int {
+	var all []int32
+	a.PreOrder(func(n int32) { all = append(all, n) })
+	sinks := a.Sinks()
+	wrong := map[int32]bool{}
+	for _, s := range InvertedSinksArena(a) {
+		wrong[s] = true
 	}
-	inSubtree := func(root, n *ctree.Node) bool {
-		for cur := n; cur != nil; cur = cur.Parent {
+	inSubtree := func(root, n int32) bool {
+		for cur := n; cur >= 0; cur = a.Parent[cur] {
 			if cur == root {
 				return true
 			}
@@ -308,7 +323,7 @@ func bruteForceMinInverters(tr *ctree.Tree) int {
 					flips++
 				}
 			}
-			if flips > 1 || (flips == 1) != wrong[s.ID] {
+			if flips > 1 || (flips == 1) != wrong[s] {
 				ok = false
 				break
 			}
@@ -337,9 +352,9 @@ func TestInvertedSinksCounts(t *testing.T) {
 	inv := tech.Composite{Type: tk.Inverters[1], N: 1}
 	bb := tr.InsertOnEdge(a, 50, ctree.Buffer)
 	bb.Buf = &inv
-	got := InvertedSinks(tr)
-	if len(got) != 1 || got[0] != a {
-		t.Errorf("InvertedSinks=%v want [a]", got)
+	got := InvertedSinksArena(ctree.FromTree(tr))
+	if len(got) != 1 || int(got[0]) != a.ID {
+		t.Errorf("InvertedSinksArena=%v want [%d]", got, a.ID)
 	}
 	_ = b
 }

@@ -17,13 +17,14 @@ func TestSinkClusterSplit(t *testing.T) {
 		tr.AddSink(hub, geom.Pt(3000+float64(i), 0), 35, "")
 	}
 	comp := tech.Composite{Type: tk.Inverters[1], N: 8}
-	added, err := BalancedInsert(tr, comp, Options{})
+	a := ctree.FromTree(tr)
+	added, err := BalancedInsertArena(a, comp, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("added %d buffers", added)
 	safe := SafeLoad(tk, comp)
-	net := analysis.Extract(tr, 0)
+	net := analysis.Extract(toTree(t, a), 0)
 	for _, s := range net.Stages {
 		drv := "source"
 		if s.Driver != nil {

@@ -11,16 +11,11 @@
 // paths, which keeps skew low when the initial tree is Elmore-balanced.
 //
 // Because clock inverters flip polarity, insertion is followed by the
-// paper's provably-minimal sink-polarity correction (Proposition 2),
-// implemented in polarity.go.
+// paper's provably-minimal sink-polarity correction (Proposition 2,
+// CorrectPolarityArena).
 package buffering
 
 import (
-	"fmt"
-	"math"
-	"sort"
-
-	"contango/internal/ctree"
 	"contango/internal/geom"
 	"contango/internal/tech"
 )
@@ -52,69 +47,6 @@ func (o *Options) defaults() {
 	}
 }
 
-// bufPos identifies a chosen buffer site: on the parent edge of tree node
-// Edge, at Manhattan distance Dist from the parent along the route.
-type bufPos struct {
-	edge *ctree.Node
-	dist float64
-}
-
-// plist is a persistent list of buffer placements with O(1) concatenation.
-type plist struct {
-	pos         bufPos
-	leaf        bool
-	left, right *plist
-}
-
-func cons(pos bufPos, rest *plist) *plist {
-	leaf := &plist{pos: pos, leaf: true}
-	if rest == nil {
-		return leaf
-	}
-	return &plist{left: leaf, right: rest}
-}
-
-func join(a, b *plist) *plist {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	return &plist{left: a, right: b}
-}
-
-func (p *plist) collect(out *[]bufPos) {
-	if p == nil {
-		return
-	}
-	if p.leaf {
-		*out = append(*out, p.pos)
-		return
-	}
-	p.left.collect(out)
-	p.right.collect(out)
-}
-
-// option is one Pareto point of the DP: downstream cap seen from here and
-// the worst delay from here to any downstream sink, with the placements
-// that realize it.
-type option struct {
-	cap   float64
-	delay float64
-	bufs  *plist
-}
-
-// Inserter runs van Ginneken insertion for one composite buffer.
-type Inserter struct {
-	tr   *ctree.Tree
-	comp tech.Composite
-	opt  Options
-
-	maxCap float64
-	rw, cw float64 // wire unit R (kΩ/µm), C (fF/µm) — per edge width below
-}
-
 // SafeLoad returns the slew-safe load (fF) for a composite at the tree's
 // slew limit: 2.2·R·C = limit with a 55% margin. The margin is deliberately
 // generous: measured transient slews run well above the single-pole estimate
@@ -122,254 +54,4 @@ type Inserter struct {
 // need headroom to add capacitance without tripping the limit.
 func SafeLoad(t *tech.Tech, comp tech.Composite) float64 {
 	return 0.45 * t.SlewLimit / (2.2 * comp.Rout())
-}
-
-// Insert places buffers of the given composite throughout the tree,
-// minimizing worst Elmore source-to-sink delay subject to the slew-safe load
-// cap. It returns the number of buffers added.
-func Insert(tr *ctree.Tree, comp tech.Composite, opt Options) (int, error) {
-	opt.defaults()
-	ins := &Inserter{tr: tr, comp: comp, opt: opt}
-	ins.maxCap = opt.MaxCap
-	if ins.maxCap == 0 {
-		ins.maxCap = SafeLoad(tr.Tech, comp)
-	}
-	if ins.maxCap <= comp.Cin() {
-		return 0, fmt.Errorf("buffering: composite %v cannot even drive its own input cap", comp)
-	}
-
-	// Bottom-up DP from each root child.
-	var rootOpts []option
-	for i, c := range tr.Root.Children {
-		co := ins.edgeOptions(c)
-		if i == 0 {
-			rootOpts = co
-		} else {
-			rootOpts = ins.mergeOptions(rootOpts, co)
-		}
-	}
-	if len(rootOpts) == 0 {
-		return 0, nil // empty tree
-	}
-	// Pick the option minimizing source delay; the source must also be able
-	// to drive it safely.
-	best := -1
-	bestScore := math.Inf(1)
-	for i, o := range rootOpts {
-		score := tr.SourceR*o.cap + o.delay
-		if o.cap > ins.maxCap {
-			score += 1e12 // admissible only if nothing better exists
-		}
-		if score < bestScore {
-			best, bestScore = i, score
-		}
-	}
-	var poss []bufPos
-	rootOpts[best].bufs.collect(&poss)
-	return ins.realize(poss), nil
-}
-
-// edgeOptions computes the option list looking down node n's parent edge
-// from the parent end.
-func (ins *Inserter) edgeOptions(n *ctree.Node) []option {
-	// Options at the node itself.
-	var opts []option
-	switch n.Kind {
-	case ctree.Sink:
-		opts = []option{{cap: n.SinkCap, delay: 0}}
-	default:
-		for i, c := range n.Children {
-			co := ins.edgeOptions(c)
-			if i == 0 {
-				opts = co
-			} else {
-				opts = ins.mergeOptions(opts, co)
-			}
-		}
-		if len(opts) == 0 { // childless internal node: pure stub
-			opts = []option{{cap: 0, delay: 0}}
-		}
-	}
-
-	// Walk up the edge, adding wire and offering buffer sites.
-	w := ins.tr.Tech.Wires[n.WidthIdx]
-	length := n.EdgeLen()
-	cands := ins.candidates(n, length)
-	prev := length
-	for _, pos := range cands { // descending positions
-		opts = ins.addWire(opts, w, prev-pos)
-		if !ins.blocked(n, pos, length) {
-			opts = ins.offerBuffer(opts, n, pos)
-		}
-		prev = pos
-	}
-	opts = ins.addWire(opts, w, prev-0)
-	return ins.prune(opts)
-}
-
-// candidates returns buffer positions (distance from parent) in descending
-// order: spaced Step apart measured from the child end, plus the edge top.
-func (ins *Inserter) candidates(n *ctree.Node, length float64) []float64 {
-	var out []float64
-	for d := length - ins.opt.Step; d > 0; d -= ins.opt.Step {
-		out = append(out, d)
-	}
-	out = append(out, 0)
-	return out
-}
-
-// blocked reports whether the candidate site sits strictly inside an
-// obstacle. The geometric position ignores snaking (snake length is assumed
-// to be realized near the site's neighborhood).
-func (ins *Inserter) blocked(n *ctree.Node, dist, length float64) bool {
-	if ins.opt.Obs == nil {
-		return false
-	}
-	geo := n.Route.Length()
-	if geo <= 0 {
-		return ins.opt.Obs.BlocksPoint(n.Loc)
-	}
-	frac := dist / length
-	return ins.opt.Obs.BlocksPoint(n.Route.At(frac * geo))
-}
-
-// addWire extends every option upward through dl µm of wire.
-func (ins *Inserter) addWire(opts []option, w tech.WireType, dl float64) []option {
-	if dl <= 0 {
-		return opts
-	}
-	r, c := w.RPerUm*dl, w.CPerUm*dl
-	out := make([]option, len(opts))
-	for i, o := range opts {
-		out[i] = option{
-			cap:   o.cap + c,
-			delay: o.delay + r*(c/2+o.cap),
-			bufs:  o.bufs,
-		}
-	}
-	return ins.prune(out)
-}
-
-// offerBuffer adds the buffered alternative at the site (n, dist): a buffer
-// driving the best downstream option.
-func (ins *Inserter) offerBuffer(opts []option, n *ctree.Node, dist float64) []option {
-	comp := ins.comp
-	bestScore := math.Inf(1)
-	bi := -1
-	for i, o := range opts {
-		if o.cap > ins.maxCap {
-			continue // the buffer would violate slew driving this load
-		}
-		if score := comp.Rout()*(comp.Cout()+o.cap) + o.delay; score < bestScore {
-			bestScore, bi = score, i
-		}
-	}
-	if bi < 0 {
-		return opts
-	}
-	buffered := option{
-		cap:   comp.Cin(),
-		delay: bestScore,
-		bufs:  cons(bufPos{edge: n, dist: dist}, opts[bi].bufs),
-	}
-	return ins.prune(append(opts, buffered))
-}
-
-// mergeOptions combines option lists of sibling subtrees at their common
-// parent node: caps add, delays take the max.
-func (ins *Inserter) mergeOptions(a, b []option) []option {
-	out := make([]option, 0, len(a)+len(b))
-	for _, x := range a {
-		for _, y := range b {
-			out = append(out, option{
-				cap:   x.cap + y.cap,
-				delay: math.Max(x.delay, y.delay),
-				bufs:  join(x.bufs, y.bufs),
-			})
-		}
-	}
-	return ins.prune(out)
-}
-
-// prune removes dominated options (another option with <= cap and <= delay),
-// drops slew-hopeless options when safe ones exist, and caps the list.
-func (ins *Inserter) prune(opts []option) []option {
-	if len(opts) <= 1 {
-		return opts
-	}
-	sort.Slice(opts, func(i, j int) bool {
-		if opts[i].cap != opts[j].cap {
-			return opts[i].cap < opts[j].cap
-		}
-		return opts[i].delay < opts[j].delay
-	})
-	out := opts[:0]
-	bestDelay := math.Inf(1)
-	for _, o := range opts {
-		if o.delay < bestDelay-1e-15 {
-			out = append(out, o)
-			bestDelay = o.delay
-		}
-	}
-	// Enforce the slew-safe cap when any option satisfies it.
-	if out[0].cap <= ins.maxCap {
-		cut := len(out)
-		for i, o := range out {
-			if o.cap > ins.maxCap {
-				cut = i
-				break
-			}
-		}
-		out = out[:cut]
-	} else {
-		out = out[:1] // keep the least-bad option; flagged later by CNE
-	}
-	if len(out) > ins.opt.MaxOptions {
-		// Keep the extremes and evenly thin the middle.
-		kept := make([]option, 0, ins.opt.MaxOptions)
-		stridef := float64(len(out)-1) / float64(ins.opt.MaxOptions-1)
-		for i := 0; i < ins.opt.MaxOptions; i++ {
-			kept = append(kept, out[int(float64(i)*stridef+0.5)])
-		}
-		out = kept
-	}
-	return append([]option(nil), out...)
-}
-
-// realize inserts buffer nodes at the chosen positions. DP distances are
-// electrical (they include snaking); they are scaled onto the geometric
-// route before splitting. Positions on the same edge are applied top-down so
-// later distances stay valid.
-func (ins *Inserter) realize(poss []bufPos) int {
-	// Group by edge in first-seen order: iterating a map here would make
-	// node-ID assignment (and hence encoded artifacts) vary run to run.
-	byEdge := map[*ctree.Node][]float64{}
-	var edges []*ctree.Node
-	for _, p := range poss {
-		if _, ok := byEdge[p.edge]; !ok {
-			edges = append(edges, p.edge)
-		}
-		byEdge[p.edge] = append(byEdge[p.edge], p.dist)
-	}
-	added := 0
-	for _, edge := range edges {
-		dists := byEdge[edge]
-		sort.Float64s(dists)
-		scale := 1.0
-		if el := edge.EdgeLen(); el > 0 {
-			scale = edge.Route.Length() / el
-		}
-		consumed := 0.0
-		target := edge
-		for _, d := range dists {
-			rd := d * scale
-			b := ins.tr.InsertOnEdge(target, rd-consumed, ctree.Buffer)
-			comp := ins.comp
-			b.Buf = &comp
-			consumed = rd
-			// After the split the lower half is still `target`'s edge.
-			added++
-		}
-	}
-	return added
 }

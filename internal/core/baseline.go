@@ -59,12 +59,11 @@ func SynthesizeBaseline(b *bench.Benchmark, kind BaselineKind, o Options) (*Resu
 		dopt.NoSnake = true
 		dopt.TapQuantum = 250
 	}
-	tr := dme.BuildZST(o.Tech, b.Source, b.Sinks, dopt)
-	tr.SourceR = b.SourceR
-	res.Tree = tr
+	a := dme.BuildZSTArena(o.Tech, b.Source, b.Sinks, dopt)
+	a.SourceR = b.SourceR
 
 	obs := geom.NewObstacleSet(b.Obstacles)
-	rep, err := route.Legalize(tr, obs, b.Die, route.Options{SafeCap: buffering.SafeLoad(o.Tech, o.Ladder[0])})
+	rep, err := route.LegalizeArena(a, obs, b.Die, route.Options{SafeCap: buffering.SafeLoad(o.Tech, o.Ladder[0])})
 	if err != nil {
 		return nil, fmt.Errorf("legalize: %w", err)
 	}
@@ -75,17 +74,23 @@ func SynthesizeBaseline(b *bench.Benchmark, kind BaselineKind, o Options) (*Resu
 		// Single mid-strength configuration, no sweep.
 		ladder = []tech.Composite{o.Ladder[len(o.Ladder)/2]}
 	}
-	sweep, err := buffering.InsertBestComposite(tr, ladder, b.CapLimit, o.Gamma,
+	sweep, err := buffering.InsertBestCompositeArena(a, ladder, b.CapLimit, o.Gamma,
 		buffering.Options{Obs: obs, Step: o.BufferStep})
 	if err != nil {
 		return nil, fmt.Errorf("buffering: %w", err)
 	}
 	res.Composite = sweep.Composite
-	res.InvertedSinks = len(buffering.InvertedSinks(tr))
-	res.AddedInverters = buffering.CorrectPolarity(tr, sweep.Composite, obs)
-	if err := tr.Validate(); err != nil {
+	res.InvertedSinks = len(buffering.InvertedSinksArena(a))
+	res.AddedInverters = buffering.CorrectPolarityArena(a, sweep.Composite, obs)
+	if err := a.Validate(); err != nil {
 		return nil, fmt.Errorf("baseline %v: %w", kind, err)
 	}
+	a.Compact()
+	tr, err := a.ToTree()
+	if err != nil {
+		return nil, fmt.Errorf("baseline %v: %w", kind, err)
+	}
+	res.Tree = tr
 
 	m, _, err := CNEOnly(tr, o.Engine, b.CapLimit)
 	if err != nil {

@@ -103,9 +103,8 @@ func SynthesizeContext(ctx context.Context, b *bench.Benchmark, o Options) (*Res
 			return err
 		}
 		if s.Tree == nil {
-			// A mis-ordered custom plan (an evaluated or gated pass before
-			// zst) parses fine; fail the run cleanly instead of letting the
-			// evaluator dereference a nil tree.
+			// ParsePlan already rejects evaluation before construction;
+			// this keeps the evaluator off a nil tree for any other plan.
 			return fmt.Errorf("plan needs a tree before pass evaluation (zst must run first)")
 		}
 		var cne analysis.Evaluator = o.Engine

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"contango/internal/buffering"
@@ -34,25 +35,30 @@ func init() {
 		Optional: true, Record: true, NeedsEval: true})
 }
 
-// passZST builds the initial zero-skew tree (ZST/DME). The default path
-// builds straight into the SoA arena (flat merge segments, slots reserved
-// up front from the benchmark's sink count, parallel subtree merging);
-// Options.PointerBuild selects the original pointer-node construction. The
-// two are bit-identical.
+// passZST builds the initial zero-skew tree (ZST/DME) straight into the
+// SoA arena: flat merge segments, slots reserved up front from the
+// benchmark's sink count, parallel subtree merging.
 func passZST(ctx context.Context, s *flow.State) error {
 	b := s.Bench
-	if s.BuildInArena() {
-		a := dme.BuildZSTArena(s.Opts.Tech, b.Source, b.Sinks,
-			dme.Options{Parallelism: s.Opts.Parallelism})
-		a.SourceR = b.SourceR
-		s.Arena = a
-		s.Logf("%s: ZST built (arena), %d sinks, wirelength %.0f µm", b.Name, len(b.Sinks), a.Wirelength())
-		return nil
+	a := dme.BuildZSTArena(s.Opts.Tech, b.Source, b.Sinks,
+		dme.Options{Parallelism: s.Opts.Parallelism})
+	a.SourceR = b.SourceR
+	s.Arena = a
+	s.Logf("%s: ZST built (arena), %d sinks, wirelength %.0f µm", b.Name, len(b.Sinks), a.Wirelength())
+	return nil
+}
+
+// constructing reports whether the construction passes may still mutate
+// the arena: zst has built it, and the evaluator has not yet materialized
+// the pointer tree (ParsePlan rejects plans that order construction after
+// an evaluated step; this guards plans assembled by hand).
+func constructing(s *flow.State) error {
+	switch {
+	case s.Arena == nil:
+		return errors.New("no tree yet (the zst pass must run first)")
+	case s.Tree != nil:
+		return errors.New("construction pass after the evaluator was armed")
 	}
-	tr := dme.BuildZST(s.Opts.Tech, b.Source, b.Sinks, dme.Options{})
-	tr.SourceR = b.SourceR
-	s.Tree = tr
-	s.Logf("%s: ZST built, %d sinks, wirelength %.0f µm", b.Name, len(b.Sinks), tr.Wirelength())
 	return nil
 }
 
@@ -60,19 +66,13 @@ func passZST(ctx context.Context, s *flow.State) error {
 // for the detour decision matches the workhorse composite the insertion
 // phase will actually place (the ladder's first rung).
 func passLegalize(ctx context.Context, s *flow.State) error {
-	if s.Tree == nil && s.Arena == nil {
-		return fmt.Errorf("no tree yet (the zst pass must run first)")
+	if err := constructing(s); err != nil {
+		return err
 	}
 	obs := geom.NewObstacleSet(s.Bench.Obstacles)
 	s.Obs = obs
 	safeCap := buffering.SafeLoad(s.Opts.Tech, s.Opts.Ladder[0])
-	var rep *route.Report
-	var err error
-	if s.BuildInArena() && s.Arena != nil {
-		rep, err = route.LegalizeArena(s.Arena, obs, s.Bench.Die, route.Options{SafeCap: safeCap})
-	} else {
-		rep, err = route.Legalize(s.Tree, obs, s.Bench.Die, route.Options{SafeCap: safeCap})
-	}
+	rep, err := route.LegalizeArena(s.Arena, obs, s.Bench.Die, route.Options{SafeCap: safeCap})
 	if err != nil {
 		return err
 	}
@@ -84,19 +84,12 @@ func passLegalize(ctx context.Context, s *flow.State) error {
 // passBuffer runs composite buffer insertion with sizing (90% of the power
 // budget).
 func passBuffer(ctx context.Context, s *flow.State) error {
-	if s.Tree == nil && s.Arena == nil {
-		return fmt.Errorf("no tree yet (the zst pass must run first)")
+	if err := constructing(s); err != nil {
+		return err
 	}
 	b := s.Bench
-	var sweep *buffering.SweepResult
-	var err error
-	if s.BuildInArena() && s.Arena != nil {
-		sweep, err = buffering.InsertBestCompositeArena(s.Arena, s.Opts.Ladder, b.CapLimit, s.Opts.Gamma,
-			buffering.Options{Obs: s.Obs, Step: s.Opts.BufferStep})
-	} else {
-		sweep, err = buffering.InsertBestComposite(s.Tree, s.Opts.Ladder, b.CapLimit, s.Opts.Gamma,
-			buffering.Options{Obs: s.Obs, Step: s.Opts.BufferStep})
-	}
+	sweep, err := buffering.InsertBestCompositeArena(s.Arena, s.Opts.Ladder, b.CapLimit, s.Opts.Gamma,
+		buffering.Options{Obs: s.Obs, Step: s.Opts.BufferStep})
 	if err != nil {
 		return err
 	}
@@ -110,8 +103,8 @@ func passBuffer(ctx context.Context, s *flow.State) error {
 // inverters use a half-strength composite: their input capacitance lands
 // on stages already near their load target.
 func passPolarity(ctx context.Context, s *flow.State) error {
-	if s.Tree == nil && s.Arena == nil {
-		return fmt.Errorf("no tree yet (the zst pass must run first)")
+	if err := constructing(s); err != nil {
+		return err
 	}
 	polComp := s.Composite
 	if polComp.N == 0 {
@@ -122,18 +115,11 @@ func passPolarity(ctx context.Context, s *flow.State) error {
 	if half := polComp.N / 2; half >= 1 {
 		polComp.N = half
 	}
-	if s.BuildInArena() && s.Arena != nil {
-		s.InvertedSinks = len(buffering.InvertedSinksArena(s.Arena))
-		s.AddedInverters = buffering.CorrectPolarityArena(s.Arena, polComp, s.Obs)
-		s.Logf("%s: %d inverted sinks fixed with %d inverters", s.Bench.Name,
-			s.InvertedSinks, s.AddedInverters)
-		return s.Arena.Validate()
-	}
-	s.InvertedSinks = len(buffering.InvertedSinks(s.Tree))
-	s.AddedInverters = buffering.CorrectPolarity(s.Tree, polComp, s.Obs)
+	s.InvertedSinks = len(buffering.InvertedSinksArena(s.Arena))
+	s.AddedInverters = buffering.CorrectPolarityArena(s.Arena, polComp, s.Obs)
 	s.Logf("%s: %d inverted sinks fixed with %d inverters", s.Bench.Name,
 		s.InvertedSinks, s.AddedInverters)
-	return s.Tree.Validate()
+	return s.Arena.Validate()
 }
 
 // optPass adapts a SPICE-driven optimization pass to the pipeline. The

@@ -195,6 +195,15 @@ func TestMisorderedPlanFailsCleanly(t *testing.T) {
 	}
 }
 
+// TestConstructionAfterEvalRejected: a plan that would construct after the
+// evaluator materialized the tree fails at parse time, before any pass runs.
+func TestConstructionAfterEvalRejected(t *testing.T) {
+	_, err := Synthesize(tinyBench(), Options{Plan: "zst,legalize,buffer,polarity,tbsz,buffer"})
+	if err == nil || !strings.Contains(err.Error(), `construction pass "buffer" comes after "tbsz"`) {
+		t.Fatalf("misordered plan: got error %v", err)
+	}
+}
+
 func stageNames(r *Result) []string {
 	out := make([]string, len(r.Stages))
 	for i, s := range r.Stages {

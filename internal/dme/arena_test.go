@@ -9,7 +9,10 @@ import (
 	"contango/internal/tech"
 )
 
-func TestArenaBuildMatchesPointerPath(t *testing.T) {
+// TestBuildZSTArenaCases builds every topology and baseline degradation,
+// plus the empty and single-sink edge cases, and checks each arena is
+// structurally valid and keeps every sink.
+func TestBuildZSTArenaCases(t *testing.T) {
 	tk := tech.Default45()
 	die := geom.NewRect(0, 0, 6000, 4000)
 	src := geom.Pt(0, 2000)
@@ -36,17 +39,12 @@ func TestArenaBuildMatchesPointerPath(t *testing.T) {
 					sinks[i].Loc = geom.Pt(500, 500)
 				}
 			}
-			want := BuildZST(tk, src, sinks, tc.opt)
 			a := BuildZSTArena(tk, src, sinks, tc.opt)
 			if err := a.Validate(); err != nil {
 				t.Fatalf("arena invalid: %v", err)
 			}
-			got, err := a.ToTree()
-			if err != nil {
-				t.Fatalf("ToTree: %v", err)
-			}
-			if err := ctree.Equal(want, got); err != nil {
-				t.Fatal(err)
+			if got := len(a.Sinks()); got != tc.n {
+				t.Fatalf("%d sinks in tree, want %d", got, tc.n)
 			}
 		})
 	}
@@ -80,9 +78,11 @@ func TestArenaScratchReuse(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		n := 50 + round*400
 		sinks := randomSinks(rng, n, geom.NewRect(0, 0, 5000, 5000))
-		want := BuildZST(tk, geom.Pt(0, 0), sinks, Options{})
-		a := BuildZSTArenaScratch(tk, geom.Pt(0, 0), sinks, Options{}, &sc)
-		got, err := a.ToTree()
+		want, err := BuildZSTArena(tk, geom.Pt(0, 0), sinks, Options{}).ToTree()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := BuildZSTArenaScratch(tk, geom.Pt(0, 0), sinks, Options{}, &sc).ToTree()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -160,6 +160,45 @@ func hasConstruction(steps []Step) bool {
 	return false
 }
 
+// orderHint closes every plan-ordering error.
+const orderHint = "construction (zst must run first) has to finish before any evaluated, gated or cycle step"
+
+// checkOrder enforces that construction finishes before evaluation starts.
+// The construction passes build the SoA arena; arming the evaluator
+// materializes the pointer tree the cascade then mutates, so a construction
+// pass after that point would build into a stale arena.
+func checkOrder(steps []Step) error {
+	armedBy := ""
+	for _, st := range steps {
+		for _, inner := range st.Cycle {
+			if constructionPasses[inner.Pass] {
+				return fmt.Errorf("flow: construction pass %q cannot run inside a cycle group: %s", inner.Pass, orderHint)
+			}
+		}
+		if constructionPasses[st.Pass] {
+			if armedBy != "" {
+				return fmt.Errorf("flow: construction pass %q comes after %q, which arms the evaluator: %s", st.Pass, armedBy, orderHint)
+			}
+			if st.Gate != nil {
+				return fmt.Errorf("flow: construction pass %q cannot be gated (a gate arms the evaluator): %s", st.Pass, orderHint)
+			}
+		}
+		if armedBy == "" && armsEval(st) {
+			armedBy = st.String()
+		}
+	}
+	return nil
+}
+
+// armsEval reports whether the runner arms the evaluator for a step.
+func armsEval(st Step) bool {
+	if st.Cycle != nil || st.Gate != nil {
+		return true
+	}
+	reg, _ := Lookup(st.Pass)
+	return reg.NeedsEval
+}
+
 // ResolvePlan turns a plan name or spec string into a Plan: built-in names
 // resolve to their full specs, anything else parses as a spec. An empty
 // string resolves to the default ("paper") plan.
@@ -190,7 +229,13 @@ func ResolvePlan(nameOrSpec string) (Plan, error) {
 //
 // Pass names must be registered; rounds and count are positive integers;
 // cycle groups cannot nest. A spec naming no construction pass
-// (zst/legalize/buffer/polarity) gets the construction prelude prepended.
+// (zst/legalize/buffer/polarity/eco) gets the construction prelude
+// prepended.
+//
+// Construction finishes before evaluation starts: a construction pass may
+// not come after a step that arms the evaluator (a pass that needs
+// evaluation, a gated step or a cycle group), may not itself be gated, and
+// may not appear inside a cycle group.
 func ParsePlan(spec string) (Plan, error) {
 	steps, err := parseSteps(spec)
 	if err != nil {
@@ -198,6 +243,9 @@ func ParsePlan(spec string) (Plan, error) {
 	}
 	if len(steps) == 0 {
 		return Plan{}, fmt.Errorf("flow: empty plan spec")
+	}
+	if err := checkOrder(steps); err != nil {
+		return Plan{}, err
 	}
 	if !hasConstruction(steps) {
 		steps = append(preludeSteps(), steps...)

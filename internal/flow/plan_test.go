@@ -115,6 +115,35 @@ func TestParsePlanInvalid(t *testing.T) {
 	}
 }
 
+// TestParsePlanConstructionOrder: construction must finish before the
+// first step that arms the evaluator, and never runs gated or in a cycle.
+func TestParsePlanConstructionOrder(t *testing.T) {
+	for _, spec := range []string{
+		"zst,legalize,buffer,polarity,tune,buffer", // after an evaluated pass
+		"zst,wire?skew>1,polarity",                 // after a gated step
+		"zst,cycle(wire),legalize",                 // after a cycle group
+		"zst,legalize,buffer,polarity,cycle(wire,buffer)",
+		"zst?skew>5,legalize", // gated construction
+		"tune,zst",
+	} {
+		_, err := ParsePlan(spec)
+		if err == nil {
+			t.Errorf("ParsePlan(%q) accepted a misordered plan", spec)
+		} else if !strings.Contains(err.Error(), orderHint) {
+			t.Errorf("ParsePlan(%q): unexpected error %v", spec, err)
+		}
+	}
+	// Construction runs ahead of evaluation in every accepted order.
+	for _, spec := range []string{
+		"zst,legalize,buffer,polarity,tune,cycle(wire,snake)",
+		"zst,polarity,wire?skew>1",
+	} {
+		if _, err := ParsePlan(spec); err != nil {
+			t.Errorf("ParsePlan(%q): %v", spec, err)
+		}
+	}
+}
+
 func TestResolvePlanBuiltinsAndDefault(t *testing.T) {
 	p, err := ResolvePlan("")
 	if err != nil {

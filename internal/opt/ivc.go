@@ -178,11 +178,6 @@ func (cx *Context) LastMetrics() (m eval.Metrics, ok bool) {
 	return cx.lastMetrics, cx.haveCNE
 }
 
-// LastResults returns the most recent cached per-corner results.
-func (cx *Context) LastResults() ([]*analysis.Result, bool) {
-	return cx.lastResults, cx.haveCNE
-}
-
 // improveLoop runs mutate-evaluate-check rounds until the objective stops
 // improving, a violation appears, or the round budget is exhausted. Each
 // round's mutate callback returns false when it has nothing left to try.

@@ -12,75 +12,6 @@ import (
 	"contango/internal/tech"
 )
 
-// legalizeBoth runs the pointer legalizer on tr and the arena legalizer on a
-// flattened copy, then checks both reports and trees agree exactly.
-func legalizeBoth(t *testing.T, tr *ctree.Tree, obs *geom.ObstacleSet, die geom.Rect, opt Options) {
-	t.Helper()
-	a := ctree.FromTree(tr)
-	want, err := Legalize(tr, obs, die, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := LegalizeArena(a, obs, die, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *want != *got {
-		t.Fatalf("report %v != %v", got, want)
-	}
-	back, err := a.ToTree()
-	if err != nil {
-		t.Fatalf("ToTree: %v", err)
-	}
-	if err := ctree.Equal(tr, back); err != nil {
-		t.Fatal(err)
-	}
-	if len(CheckLegal(tr, obs, opt.SafeCap)) != len(CheckLegalArena(a, obs, opt.SafeCap)) {
-		t.Fatal("CheckLegal disagreement between representations")
-	}
-}
-
-func TestLegalizeArenaMatchesPointerDetour(t *testing.T) {
-	tk := tech.Default45()
-	tr, obs, die := buildEnclosedScenario(tk)
-	legalizeBoth(t, tr, obs, die, Options{SafeCap: 300})
-}
-
-func TestLegalizeArenaMatchesPointerCapturedSink(t *testing.T) {
-	tk := tech.Default45()
-	die := geom.NewRect(0, 0, 4000, 4000)
-	obs := geom.NewObstacleSet([]geom.Obstacle{{Rect: geom.NewRect(1500, 1500, 2500, 2500)}})
-	tr := ctree.New(tk, geom.Pt(0, 2000), 0.1)
-	hub := tr.AddChild(tr.Root, ctree.Internal, geom.Pt(2000, 2000))
-	tr.AddSink(hub, geom.Pt(2200, 2200), 30, "captive")
-	c := tr.AddChild(hub, ctree.Internal, geom.Pt(3000, 2000))
-	for k := 0; k < 20; k++ {
-		tr.AddSink(c, geom.Pt(3000+float64(20*k), 2100), 50, "")
-	}
-	legalizeBoth(t, tr, obs, die, Options{SafeCap: 400})
-}
-
-func TestLegalizeArenaMatchesPointerOnDMETree(t *testing.T) {
-	tk := tech.Default45()
-	die := geom.NewRect(0, 0, 8000, 8000)
-	obs := geom.NewObstacleSet([]geom.Obstacle{
-		{Rect: geom.NewRect(1000, 1000, 3000, 2600)},
-		{Rect: geom.NewRect(3000, 1000, 4200, 2000)}, // abuts -> compound
-		{Rect: geom.NewRect(5000, 5000, 7000, 7200)},
-	})
-	rng := rand.New(rand.NewSource(23))
-	var sinks []dme.Sink
-	for len(sinks) < 150 {
-		p := geom.Pt(rng.Float64()*8000, rng.Float64()*8000)
-		if obs.BlocksPoint(p) {
-			continue
-		}
-		sinks = append(sinks, dme.Sink{Loc: p, Cap: 20 + rng.Float64()*30})
-	}
-	tr := dme.BuildZST(tk, geom.Pt(0, 4000), sinks, dme.Options{})
-	legalizeBoth(t, tr, obs, die, Options{SafeCap: tk.SlewSafeCap})
-}
-
 func TestLegalizeArenaNoObstaclesIsNoop(t *testing.T) {
 	tk := tech.Default45()
 	rng := rand.New(rand.NewSource(5))

@@ -11,25 +11,25 @@ import (
 // detourCompound implements the paper's Step 2/3 for one compound obstacle:
 // find subtrees captured inside it, keep the ones a single buffer can drive,
 // and rebuild the rest along the compound's contour ring.
-func detourCompound(tr *ctree.Tree, obs *geom.ObstacleSet, ci int, die geom.Rect,
+func detourCompound(a *ctree.Arena, obs *geom.ObstacleSet, ci int, die geom.Rect,
 	maze *geom.Maze, opt Options, rep *Report) error {
 
-	captured := func(n *ctree.Node) bool { return obs.CompoundAt(n.Loc) == ci }
+	captured := func(n int32) bool { return obs.CompoundAt(a.Loc[n]) == ci }
 
 	// Topmost captured nodes: captured with a non-captured parent.
-	var tops []*ctree.Node
-	tr.PreOrder(func(n *ctree.Node) {
-		if n.Parent != nil && captured(n) && !captured(n.Parent) {
+	var tops []int32
+	a.PreOrder(func(n int32) {
+		if a.Parent[n] >= 0 && opt.inScope(n) && captured(n) && !captured(a.Parent[n]) {
 			tops = append(tops, n)
 		}
 	})
 	for _, top := range tops {
 		// The whole enclosed subtree may be fine if one buffer placed just
 		// before the obstacle can drive it (paper Step 2).
-		if tr.LoadCap(top) <= opt.SafeCap {
+		if a.LoadCap(top) <= opt.SafeCap {
 			continue
 		}
-		if err := detourSubtree(tr, obs, ci, top, die, maze); err != nil {
+		if err := detourSubtree(a, obs, ci, top, die, maze); err != nil {
 			return err
 		}
 		rep.Detours++
@@ -40,56 +40,56 @@ func detourCompound(tr *ctree.Tree, obs *geom.ObstacleSet, ci int, die geom.Rect
 // ringProj is an attachment on the contour ring.
 type ringProj struct {
 	pt     geom.Point
-	s      float64     // arc-length parameter along the ring
-	node   *ctree.Node // the outside subtree root (or captured sink) to hang here
+	s      float64 // arc-length parameter along the ring
+	node   int32   // the outside subtree root (or captured sink) to hang here
 	isSink bool
 }
 
 // detourSubtree rebuilds the captured subtree rooted at top along the
 // compound's contour.
-func detourSubtree(tr *ctree.Tree, obs *geom.ObstacleSet, ci int, top *ctree.Node,
+func detourSubtree(a *ctree.Arena, obs *geom.ObstacleSet, ci int, top int32,
 	die geom.Rect, maze *geom.Maze) error {
 
-	captured := func(n *ctree.Node) bool { return obs.CompoundAt(n.Loc) == ci }
-	parent := top.Parent
+	captured := func(n int32) bool { return obs.CompoundAt(a.Loc[n]) == ci }
+	parent := a.Parent[top]
 	ring := geom.ClipRing(obs.Contour(ci), die)
 	perim := ring.Length()
 
 	// Collect exits (outside subtrees fed through the captured region) and
 	// captured sinks.
-	var exits []*ctree.Node
-	var inSinks []*ctree.Node
-	var walk func(n *ctree.Node)
-	walk = func(n *ctree.Node) {
+	var exits []int32
+	var inSinks []int32
+	var walk func(n int32)
+	walk = func(n int32) {
 		if !captured(n) {
 			exits = append(exits, n)
 			return
 		}
-		if n.Kind == ctree.Sink {
+		if a.Kind[n] == ctree.Sink {
 			inSinks = append(inSinks, n)
 			return
 		}
-		for _, c := range n.Children {
+		for _, c := range a.Children(n) {
 			walk(c)
 		}
 	}
 	walk(top)
 
 	// Entry: the ring point nearest the outside parent.
-	entryPt, entryS := projectOntoRing(ring, parent.Loc)
+	entryPt, entryS := projectOntoRing(ring, a.Loc[parent])
 
 	var projs []ringProj
 	for _, v := range exits {
-		pt, s := projectOntoRing(ring, v.Loc)
+		pt, s := projectOntoRing(ring, a.Loc[v])
 		projs = append(projs, ringProj{pt: pt, s: s, node: v})
 	}
 	for _, v := range inSinks {
-		pt, s := projectOntoRing(ring, v.Loc)
+		pt, s := projectOntoRing(ring, a.Loc[v])
 		projs = append(projs, ringProj{pt: pt, s: s, node: v, isSink: true})
 	}
 	if len(projs) == 0 {
 		// Nothing hangs off the captured region; just delete it.
-		tr.DeleteSubtree(top)
+		a.DeleteSubtree(top)
 		return nil
 	}
 
@@ -127,38 +127,38 @@ func detourSubtree(tr *ctree.Tree, obs *geom.ObstacleSet, ci int, top *ctree.Nod
 
 	// Detach outside subtrees, then discard the captured region.
 	for _, v := range exits {
-		tr.Detach(v)
+		a.Detach(v)
 	}
 	for _, v := range inSinks {
-		tr.Detach(v)
+		a.Detach(v)
 	}
-	tr.DeleteSubtree(top)
+	a.DeleteSubtree(top)
 
 	// Entry node on the ring, fed from the outside parent (maze-routed so
 	// the feed itself cannot cross the compound).
-	entry := tr.AddChild(parent, ctree.Internal, entryPt)
-	entry.WidthIdx = widthOf(exits, inSinks)
-	if feed, err := maze.Route(parent.Loc, entryPt); err == nil && !crossesAny(obs, feed) {
-		entry.Route = feed
+	entry := a.AddChildL(parent, ctree.Internal, entryPt)
+	a.WidthIdx[entry] = int32(widthOf(a, exits, inSinks))
+	if feed, err := maze.Route(a.Loc[parent], entryPt); err == nil && !crossesAny(obs, feed) {
+		a.ReplaceRoute(entry, feed)
 	}
 
 	// Clockwise chain: attachments before the cut, in increasing δ.
-	attach := func(prev *ctree.Node, pr ringProj, arc geom.Polyline) *ctree.Node {
-		n := tr.AddChild(prev, ctree.Internal, pr.pt)
-		n.WidthIdx = entry.WidthIdx
-		n.Route = arc
+	attach := func(prev int32, pr ringProj, arc geom.Polyline) int32 {
+		n := a.AddChildL(prev, ctree.Internal, pr.pt)
+		a.WidthIdx[n] = a.WidthIdx[entry]
+		a.ReplaceRoute(n, arc)
 		sub := pr.node
-		hop := geom.LShape(n.Loc, sub.Loc)[0]
+		hop := geom.LShape(a.Loc[n], a.Loc[sub])[0]
 		// Captured sinks legitimately receive wire over the obstacle; for
 		// outside subtrees prefer a hop that stays clear.
 		if !pr.isSink && crossesAny(obs, hop) {
-			if alt := geom.LShape(n.Loc, sub.Loc)[1]; !crossesAny(obs, alt) {
+			if alt := geom.LShape(a.Loc[n], a.Loc[sub])[1]; !crossesAny(obs, alt) {
 				hop = alt
-			} else if m, err := maze.Route(n.Loc, sub.Loc); err == nil {
-				hop = m
+			} else if mz, err := maze.Route(a.Loc[n], a.Loc[sub]); err == nil {
+				hop = mz
 			}
 		}
-		tr.Attach(sub, n, hop)
+		a.Attach(sub, n, hop)
 		return n
 	}
 	prev, prevS := entry, entryS
@@ -177,14 +177,14 @@ func detourSubtree(tr *ctree.Tree, obs *geom.ObstacleSet, ci int, top *ctree.Nod
 	return nil
 }
 
-// widthOf picks the widest wire index used by the re-attached subtrees so
-// the detour does not bottleneck them; defaults to 0.
-func widthOf(exits, sinks []*ctree.Node) int {
+// widthOf picks the wire width of the first re-attached subtree so the
+// detour does not bottleneck it; defaults to 0.
+func widthOf(a *ctree.Arena, exits, sinks []int32) int {
 	for _, n := range exits {
-		return n.WidthIdx
+		return int(a.WidthIdx[n])
 	}
 	for _, n := range sinks {
-		return n.WidthIdx
+		return int(a.WidthIdx[n])
 	}
 	return 0
 }

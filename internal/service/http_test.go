@@ -371,6 +371,21 @@ func TestHTTPInvalidPlanRejected(t *testing.T) {
 	}
 }
 
+// TestHTTPMisorderedPlanRejected: a plan that constructs after a step that
+// arms the evaluator fails at submit, not inside a worker.
+func TestHTTPMisorderedPlanRejected(t *testing.T) {
+	ts, _ := testServer(t, 1)
+	req := SubmitRequest{
+		BenchText: benchText(t, "http-misordered", 0),
+		Options:   OptionsWire{Plan: "zst,legalize,buffer,polarity,tbsz,buffer"},
+	}
+	var apiErr apiError
+	decode(t, postJSON(t, ts.URL+"/api/v1/jobs", req), http.StatusBadRequest, &apiErr)
+	if !strings.Contains(apiErr.Error, `construction pass "buffer" comes after "tbsz"`) {
+		t.Errorf("error %q does not name the misordered steps", apiErr.Error)
+	}
+}
+
 // durableTestServer is testServer with a durable store attached.
 func durableTestServer(t *testing.T, workers int) (*httptest.Server, *Service, string) {
 	t.Helper()
