@@ -107,7 +107,8 @@ func PlanNames() []string { return flow.PlanNames() }
 //
 // Specs that name no construction pass get the construction prelude
 // (zst,legalize,buffer,polarity) prepended, so "tbsz:2,twsz" is a complete
-// plan. See the flow package for the full grammar.
+// plan. Construction passes must come before any evaluated, gated or cycle
+// step. See the flow package for the full grammar.
 func ValidatePlan(nameOrSpec string) error {
 	_, err := flow.ResolvePlan(nameOrSpec)
 	return err

@@ -86,8 +86,7 @@ func TestGoldenBaselineDigests(t *testing.T) {
 		{"ispd09f22", BaselineNoOpt, "6ce8e31a3176e111e20c184c96162477746bd26b5f836455caee7fd0270bbbe0"},
 		{"ispd09f22", BaselineGreedy, "87f1853d6c6238b032ce886f39f0a2c3fa3569fc985b6f6988a8f0a5dcae793a"},
 		{"ispd09f22", BaselineBST, "4ad3ec09082125897509b12ea035549e466eaebce75db398e31ffb6d591b5da8"},
-		// These failed validation until contour arcs wrapping past the
-		// ring's start vertex kept that corner.
+		// Contour detours on these trees wrap past the ring's start vertex.
 		{"ispd09f21", BaselineGreedy, "630b7c8cfb3c31d91e8589a92b7d60f520191dd2c2aa1badc48f1ac64a9948c7"},
 		{"ispd09f31", BaselineGreedy, "9f8274589247a188ce49ca3a2d7174bc4849ae893657e59ddf5430f8f0fc2295"},
 		{"ispd09f31", BaselineBST, "69720dddcaa494d934e68dd04101f2051dd37d63c8b74ab760e86a7aef7b590d"},

@@ -48,26 +48,15 @@ func passZST(ctx context.Context, s *flow.State) error {
 	return nil
 }
 
-// constructing reports whether the construction passes may still mutate
-// the arena: zst has built it, and the evaluator has not yet materialized
-// the pointer tree (ParsePlan rejects plans that order construction after
-// an evaluated step; this guards plans assembled by hand).
-func constructing(s *flow.State) error {
-	switch {
-	case s.Arena == nil:
-		return errors.New("no tree yet (the zst pass must run first)")
-	case s.Tree != nil:
-		return errors.New("construction pass after the evaluator was armed")
-	}
-	return nil
-}
+// errNoTree fails a construction pass that runs before zst built a tree.
+var errNoTree = errors.New("no tree yet (the zst pass must run first)")
 
 // passLegalize repairs obstacle violations. The slew-free capacitance used
 // for the detour decision matches the workhorse composite the insertion
 // phase will actually place (the ladder's first rung).
 func passLegalize(ctx context.Context, s *flow.State) error {
-	if err := constructing(s); err != nil {
-		return err
+	if s.Arena == nil {
+		return errNoTree
 	}
 	obs := geom.NewObstacleSet(s.Bench.Obstacles)
 	s.Obs = obs
@@ -84,8 +73,8 @@ func passLegalize(ctx context.Context, s *flow.State) error {
 // passBuffer runs composite buffer insertion with sizing (90% of the power
 // budget).
 func passBuffer(ctx context.Context, s *flow.State) error {
-	if err := constructing(s); err != nil {
-		return err
+	if s.Arena == nil {
+		return errNoTree
 	}
 	b := s.Bench
 	sweep, err := buffering.InsertBestCompositeArena(s.Arena, s.Opts.Ladder, b.CapLimit, s.Opts.Gamma,
@@ -103,8 +92,8 @@ func passBuffer(ctx context.Context, s *flow.State) error {
 // inverters use a half-strength composite: their input capacitance lands
 // on stages already near their load target.
 func passPolarity(ctx context.Context, s *flow.State) error {
-	if err := constructing(s); err != nil {
-		return err
+	if s.Arena == nil {
+		return errNoTree
 	}
 	polComp := s.Composite
 	if polComp.N == 0 {

@@ -199,7 +199,7 @@ func TestMisorderedPlanFailsCleanly(t *testing.T) {
 // evaluator materialized the tree fails at parse time, before any pass runs.
 func TestConstructionAfterEvalRejected(t *testing.T) {
 	_, err := Synthesize(tinyBench(), Options{Plan: "zst,legalize,buffer,polarity,tbsz,buffer"})
-	if err == nil || !strings.Contains(err.Error(), `construction pass "buffer" comes after "tbsz"`) {
+	if err == nil || !strings.Contains(err.Error(), `construction pass "buffer" runs after step "tbsz"`) {
 		t.Fatalf("misordered plan: got error %v", err)
 	}
 }

@@ -166,25 +166,20 @@ const orderHint = "construction (zst must run first) has to finish before any ev
 // checkOrder enforces that construction finishes before evaluation starts.
 // The construction passes build the SoA arena; arming the evaluator
 // materializes the pointer tree the cascade then mutates, so a construction
-// pass after that point would build into a stale arena.
+// pass after that point would build into a stale arena. A gated step arms
+// the evaluator before its own pass runs, and a cycle group before its
+// first member.
 func checkOrder(steps []Step) error {
 	armedBy := ""
 	for _, st := range steps {
-		for _, inner := range st.Cycle {
-			if constructionPasses[inner.Pass] {
-				return fmt.Errorf("flow: construction pass %q cannot run inside a cycle group: %s", inner.Pass, orderHint)
-			}
-		}
-		if constructionPasses[st.Pass] {
-			if armedBy != "" {
-				return fmt.Errorf("flow: construction pass %q comes after %q, which arms the evaluator: %s", st.Pass, armedBy, orderHint)
-			}
-			if st.Gate != nil {
-				return fmt.Errorf("flow: construction pass %q cannot be gated (a gate arms the evaluator): %s", st.Pass, orderHint)
-			}
-		}
 		if armedBy == "" && armsEval(st) {
 			armedBy = st.String()
+		}
+		for _, p := range append([]Step{st}, st.Cycle...) {
+			if armedBy != "" && constructionPasses[p.Pass] {
+				return fmt.Errorf("flow: construction pass %q runs after step %q arms the evaluator: %s",
+					p.Pass, armedBy, orderHint)
+			}
 		}
 	}
 	return nil

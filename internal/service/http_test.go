@@ -381,7 +381,7 @@ func TestHTTPMisorderedPlanRejected(t *testing.T) {
 	}
 	var apiErr apiError
 	decode(t, postJSON(t, ts.URL+"/api/v1/jobs", req), http.StatusBadRequest, &apiErr)
-	if !strings.Contains(apiErr.Error, `construction pass "buffer" comes after "tbsz"`) {
+	if !strings.Contains(apiErr.Error, `construction pass "buffer" runs after step "tbsz"`) {
 		t.Errorf("error %q does not name the misordered steps", apiErr.Error)
 	}
 }
