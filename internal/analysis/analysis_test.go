@@ -193,15 +193,21 @@ func TestSlewDetection(t *testing.T) {
 	}
 }
 
-func TestWorstStageTau(t *testing.T) {
+// TestSingleStageTauIsSinkElmore: on a single-stage net the worst stage time constant
+// (the transient window bound) is the far sink's Elmore delay.
+func TestSingleStageTauIsSinkElmore(t *testing.T) {
 	tk := tech.Default45()
 	tr := singleWire(tk)
 	net := Extract(tr, 100)
-	tau := WorstStageTau(net, fastCorner(tk))
+	if len(net.Stages) != 1 {
+		t.Fatalf("%d stages, want 1", len(net.Stages))
+	}
+	s, c := net.Stages[0], fastCorner(tk)
+	tau := StageElmoreMaxAt(s, net.DriverR(s, c), c)
 	if tau <= 0 {
 		t.Fatal("tau must be positive")
 	}
-	el, _ := (&Elmore{}).Evaluate(tr, fastCorner(tk))
+	el, _ := (&Elmore{}).Evaluate(tr, c)
 	if math.Abs(tau-el.Rise[tr.Sinks()[0].ID]) > 1e-9 {
 		t.Errorf("single-stage worst tau %v should equal sink Elmore %v", tau, el.Rise[tr.Sinks()[0].ID])
 	}

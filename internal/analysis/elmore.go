@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math"
+	"sync"
 
 	"contango/internal/ctree"
 	"contango/internal/tech"
@@ -10,6 +11,141 @@ import (
 // ln9 converts a time constant into a 10-90% transition time for a
 // single-pole response: t90 - t10 = τ·ln(0.9/0.1).
 const ln9 = 2.1972245773362196
+
+// kernelScratch pools the transient float vectors of the stage kernels.
+type kernelScratch struct {
+	bufs [6][]float64
+}
+
+var kernelPool = sync.Pool{New: func() any { return new(kernelScratch) }}
+
+// vec returns scratch vector i resized to n (contents unspecified).
+func (ks *kernelScratch) vec(i, n int) []float64 {
+	if cap(ks.bufs[i]) < n {
+		ks.bufs[i] = make([]float64, n)
+	}
+	ks.bufs[i] = ks.bufs[i][:n]
+	return ks.bufs[i]
+}
+
+// stageElmoreInto writes into d the Elmore delay (ps) from the stage driver
+// input to every RC node of one stage, with wire resistance scaled by rs
+// and capacitance by cs; the driver contributes rd·Ctotal. cdown receives
+// the scaled downstream capacitance of every node. Both are caller
+// scratch of length len(s.R). Unit scales are exact in IEEE 754
+// (x·1.0 == x bitwise), so unit derates leave every result bit unchanged.
+func stageElmoreInto(s *Stage, rd, rs, cs float64, cdown, d []float64) {
+	n := len(s.R)
+	for i := 0; i < n; i++ {
+		cdown[i] = s.C[i] * cs
+	}
+	for i := n - 1; i >= 1; i-- {
+		cdown[s.Par[i]] += cdown[i]
+	}
+	d[0] = rd * cdown[0]
+	for i := 1; i < n; i++ {
+		d[i] = d[s.Par[i]] + s.R[i]*rs*cdown[i]
+	}
+}
+
+// stageMomentsInto writes the first two moments m1, m2 of every RC node of
+// one stage, with the driver resistance rd folded in as a virtual root
+// resistor. m1 is the Elmore recurrence; m2 reruns it with the
+// moment-weighted charge b[i] = Σ_{k in subtree(i)} C_k · m1_k in place of
+// the downstream capacitance. cdown and b are caller scratch.
+func stageMomentsInto(s *Stage, rd, rs, cs float64, cdown, b, m1, m2 []float64) {
+	n := len(s.R)
+	stageElmoreInto(s, rd, rs, cs, cdown, m1)
+	for i := range b {
+		b[i] = 0
+	}
+	for i := n - 1; i >= 0; i-- {
+		b[i] += s.C[i] * cs * m1[i]
+		if s.Par[i] >= 0 {
+			b[s.Par[i]] += b[i]
+		}
+	}
+	m2[0] = rd * b[0]
+	for i := 1; i < n; i++ {
+		m2[i] = m2[s.Par[i]] + s.R[i]*rs*b[i]
+	}
+}
+
+// StageElmoreMaxAt returns the largest per-node Elmore delay of the stage
+// at the given corner — the time constant the transient engine sizes its
+// integration window from — without retaining the vectors. Scratch comes
+// from the kernel pool, so the call is allocation-free.
+func StageElmoreMaxAt(s *Stage, rd float64, corner tech.Corner) float64 {
+	n := len(s.R)
+	ks := kernelPool.Get().(*kernelScratch)
+	d := ks.vec(1, n)
+	stageElmoreInto(s, rd, corner.RScale(), corner.CScale(), ks.vec(0, n), d)
+	m := 0.0
+	for _, v := range d {
+		if v > m {
+			m = v
+		}
+	}
+	kernelPool.Put(ks)
+	return m
+}
+
+// stageModel fills the per-node 50% delay and 10-90% slew vectors of one
+// stage at one corner, using the scratch in ks.
+type stageModel func(ks *kernelScratch, s *Stage, rd float64, corner tech.Corner) (delay, slew []float64)
+
+// evaluateCorners is the one evaluation body of the closed-form models:
+// one extraction shared by every corner, then, per corner, the stages in
+// parent-before-child order, each through the single-corner recurrence.
+// Stage delays chain through buffer boundaries via the child stages'
+// input nodes.
+func evaluateCorners(tr *ctree.Tree, maxSeg float64, corners []tech.Corner, model stageModel) []*Result {
+	net := Extract(tr, maxSeg)
+	limit := tr.Tech.SlewLimit
+	ks := kernelPool.Get().(*kernelScratch)
+	defer kernelPool.Put(ks)
+	// arrival[i] is stage i's driver input arrival at the current corner;
+	// every entry but the source stage's is written by its parent first.
+	arrival := make([]float64, len(net.Stages))
+	results := make([]*Result, len(corners))
+	for k, c := range corners {
+		res := &Result{
+			Corner:    c,
+			Rise:      make(map[int]float64),
+			Fall:      make(map[int]float64),
+			SinkSlew:  make(map[int]float64),
+			StageSlew: make(map[int]float64),
+		}
+		for _, s := range net.Stages {
+			delay, slew := model(ks, s, net.DriverR(s, c), c)
+			base := arrival[s.Index]
+			for _, ci := range s.Children {
+				arrival[ci] = base + delay[net.Stages[ci].InputNode]
+			}
+			for _, m := range s.Sinks {
+				t := base + delay[m.Node]
+				res.Rise[m.Sink.ID] = t
+				res.Fall[m.Sink.ID] = t
+				res.SinkSlew[m.Sink.ID] = slew[m.Node]
+			}
+			// Slew checking: a per-node estimate within the stage.
+			key := driverKey(s.Driver)
+			for _, v := range slew {
+				if v > res.MaxSlew {
+					res.MaxSlew = v
+				}
+				if v > res.StageSlew[key] {
+					res.StageSlew[key] = v
+				}
+				if v > limit {
+					res.SlewViol++
+				}
+			}
+		}
+		results[k] = res
+	}
+	return results
+}
 
 // Elmore is the first-moment delay evaluator. It is exact for the total
 // charge-transfer delay of RC trees but, as the paper stresses, ignores
@@ -23,105 +159,27 @@ type Elmore struct {
 // Name implements Evaluator.
 func (e *Elmore) Name() string { return "elmore" }
 
-// stageElmoreScaled returns, for one stage, the Elmore delay (ps) from the
-// stage driver input to every RC node, with wire resistance scaled by rs
-// and capacitance by cs. The driver contributes rd·Ctotal. Unit scales are
-// exact in IEEE 754 (x·1.0 == x bitwise), so the rs = cs = 1 call is
-// bit-identical to the pre-derate recurrence.
-func stageElmoreScaled(s *Stage, rd, rs, cs float64) []float64 {
-	n := len(s.R)
-	ks := kernelPool.Get().(*kernelScratch)
-	ks.a = growFloats(ks.a, n)
-	cdown := ks.a
-	for i := 0; i < n; i++ {
-		cdown[i] = s.C[i] * cs
-	}
-	for i := n - 1; i >= 1; i-- {
-		cdown[s.Par[i]] += cdown[i]
-	}
-	d := make([]float64, n)
-	d[0] = rd * cdown[0]
-	for i := 1; i < n; i++ {
-		d[i] = d[s.Par[i]] + s.R[i]*rs*cdown[i]
-	}
-	kernelPool.Put(ks)
-	return d
-}
-
-// stageElmoreAt is stageElmoreScaled with the corner's interconnect
-// derates applied.
-func stageElmoreAt(s *Stage, rd float64, corner tech.Corner) []float64 {
-	return stageElmoreScaled(s, rd, corner.RScale(), corner.CScale())
-}
-
-// Evaluate implements Evaluator using per-stage Elmore delays chained
-// through buffer boundaries.
+// Evaluate implements Evaluator.
 func (e *Elmore) Evaluate(tr *ctree.Tree, corner tech.Corner) (*Result, error) {
-	net := Extract(tr, e.MaxSeg)
-	return elmoreOnNet(net, corner), nil
+	return evaluateCorners(tr, e.MaxSeg, []tech.Corner{corner}, elmoreStage)[0], nil
 }
 
-// elmoreOnNet runs the Elmore evaluation over an already-extracted netlist.
-func elmoreOnNet(net *Net, corner tech.Corner) *Result {
-	res := &Result{
-		Corner:    corner,
-		Rise:      make(map[int]float64),
-		Fall:      make(map[int]float64),
-		SinkSlew:  make(map[int]float64),
-		StageSlew: make(map[int]float64),
-	}
-	limit := net.Tree.Tech.SlewLimit
-	arrival := make([]float64, len(net.Stages)) // at each stage's driver input
-	for _, s := range net.Stages {
-		rd := net.DriverR(s, corner)
-		d := stageElmoreAt(s, rd, corner)
-		base := arrival[s.Index]
-		// Propagate arrivals to child stages through their input nodes.
-		for _, ci := range s.Children {
-			child := net.Stages[ci]
-			arrival[ci] = base + d[child.InputNode]
-		}
-		for _, m := range s.Sinks {
-			t := base + d[m.Node]
-			res.Rise[m.Sink.ID] = t
-			res.Fall[m.Sink.ID] = t
-			slew := ln9 * d[m.Node]
-			res.SinkSlew[m.Sink.ID] = slew
-		}
-		// Slew checking: a single-pole estimate per node within the stage.
-		key := -1
-		if s.Driver != nil {
-			key = s.Driver.ID
-		}
-		for i := range d {
-			slew := ln9 * d[i]
-			if slew > res.MaxSlew {
-				res.MaxSlew = slew
-			}
-			if slew > res.StageSlew[key] {
-				res.StageSlew[key] = slew
-			}
-			if slew > limit {
-				res.SlewViol++
-			}
-		}
-	}
-	return res
+// EvaluateCorners implements CornerEvaluator: one extraction, then each
+// corner through the single-corner Elmore recurrence.
+func (e *Elmore) EvaluateCorners(tr *ctree.Tree, corners []tech.Corner) ([]*Result, error) {
+	return evaluateCorners(tr, e.MaxSeg, corners, elmoreStage), nil
 }
 
-// WorstStageTau returns the largest single-stage Elmore time constant in
-// the network (ps); useful to size transient simulation windows.
-func WorstStageTau(net *Net, corner tech.Corner) float64 {
-	worst := 0.0
-	for _, s := range net.Stages {
-		d := stageElmoreAt(s, net.DriverR(s, corner), corner)
-		for _, v := range d {
-			if v > worst {
-				worst = v
-			}
-		}
+// elmoreStage is the Elmore stageModel: delay is the first moment, slew
+// its single-pole estimate ln9·m1.
+func elmoreStage(ks *kernelScratch, s *Stage, rd float64, corner tech.Corner) (delay, slew []float64) {
+	n := len(s.R)
+	delay, slew = ks.vec(1, n), ks.vec(2, n)
+	stageElmoreInto(s, rd, corner.RScale(), corner.CScale(), ks.vec(0, n), delay)
+	for i, d := range delay {
+		slew[i] = ln9 * d
 	}
-	return worst
+	return delay, slew
 }
 
 // TwoPole is the D2M (delay with two moments) evaluator: a closed-form
@@ -135,51 +193,28 @@ type TwoPole struct {
 // Name implements Evaluator.
 func (e *TwoPole) Name() string { return "twopole" }
 
-// stageMomentsScaled returns m1 and m2 at every RC node of a stage with
-// driver resistance rd folded in as a virtual root resistor, with wire
-// resistance scaled by rs and capacitance by cs (unit scales are exact, so
-// rs = cs = 1 reproduces the pre-derate recurrences bit for bit).
-func stageMomentsScaled(s *Stage, rd, rs, cs float64) (m1, m2 []float64) {
-	n := len(s.R)
-	ks := kernelPool.Get().(*kernelScratch)
-	ks.a = growFloats(ks.a, n)
-	ks.b = growFloats(ks.b, n)
-	cdown := ks.a
-	for i := 0; i < n; i++ {
-		cdown[i] = s.C[i] * cs
-	}
-	for i := n - 1; i >= 1; i-- {
-		cdown[s.Par[i]] += cdown[i]
-	}
-	m1 = make([]float64, n)
-	m1[0] = rd * cdown[0]
-	for i := 1; i < n; i++ {
-		m1[i] = m1[s.Par[i]] + s.R[i]*rs*cdown[i]
-	}
-	// b[i] = Σ_{k in subtree(i)} C_k · m1_k; the pooled buffer replaces
-	// make's zero-init explicitly (0 + x preserves the accumulation bits).
-	b := ks.b
-	for i := range b {
-		b[i] = 0
-	}
-	for i := n - 1; i >= 0; i-- {
-		b[i] += s.C[i] * cs * m1[i]
-		if s.Par[i] >= 0 {
-			b[s.Par[i]] += b[i]
-		}
-	}
-	m2 = make([]float64, n)
-	m2[0] = rd * b[0]
-	for i := 1; i < n; i++ {
-		m2[i] = m2[s.Par[i]] + s.R[i]*rs*b[i]
-	}
-	return m1, m2
+// Evaluate implements Evaluator.
+func (e *TwoPole) Evaluate(tr *ctree.Tree, corner tech.Corner) (*Result, error) {
+	return evaluateCorners(tr, e.MaxSeg, []tech.Corner{corner}, twoPoleStage)[0], nil
 }
 
-// stageMomentsAt is stageMomentsScaled with the corner's interconnect
-// derates applied.
-func stageMomentsAt(s *Stage, rd float64, corner tech.Corner) (m1, m2 []float64) {
-	return stageMomentsScaled(s, rd, corner.RScale(), corner.CScale())
+// EvaluateCorners implements CornerEvaluator: one extraction, then each
+// corner through the single-corner moment recurrence.
+func (e *TwoPole) EvaluateCorners(tr *ctree.Tree, corners []tech.Corner) ([]*Result, error) {
+	return evaluateCorners(tr, e.MaxSeg, corners, twoPoleStage), nil
+}
+
+// twoPoleStage is the D2M stageModel.
+func twoPoleStage(ks *kernelScratch, s *Stage, rd float64, corner tech.Corner) (delay, slew []float64) {
+	n := len(s.R)
+	m1, m2 := ks.vec(2, n), ks.vec(3, n)
+	stageMomentsInto(s, rd, corner.RScale(), corner.CScale(), ks.vec(0, n), ks.vec(1, n), m1, m2)
+	delay, slew = ks.vec(4, n), ks.vec(5, n)
+	for i := range m1 {
+		delay[i] = d2m(m1[i], m2[i])
+		slew[i] = slewFromMoments(m1[i], m2[i])
+	}
+	return delay, slew
 }
 
 // d2m converts first and second moments into a 50% delay estimate.
@@ -188,52 +223,6 @@ func d2m(m1, m2 float64) float64 {
 		return m1 * math.Ln2
 	}
 	return math.Ln2 * m1 * m1 / math.Sqrt(m2)
-}
-
-// Evaluate implements Evaluator.
-func (e *TwoPole) Evaluate(tr *ctree.Tree, corner tech.Corner) (*Result, error) {
-	net := Extract(tr, e.MaxSeg)
-	res := &Result{
-		Corner:    corner,
-		Rise:      make(map[int]float64),
-		Fall:      make(map[int]float64),
-		SinkSlew:  make(map[int]float64),
-		StageSlew: make(map[int]float64),
-	}
-	limit := net.Tree.Tech.SlewLimit
-	arrival := make([]float64, len(net.Stages))
-	for _, s := range net.Stages {
-		rd := net.DriverR(s, corner)
-		m1, m2 := stageMomentsAt(s, rd, corner)
-		base := arrival[s.Index]
-		for _, ci := range s.Children {
-			child := net.Stages[ci]
-			arrival[ci] = base + d2m(m1[child.InputNode], m2[child.InputNode])
-		}
-		for _, m := range s.Sinks {
-			t := base + d2m(m1[m.Node], m2[m.Node])
-			res.Rise[m.Sink.ID] = t
-			res.Fall[m.Sink.ID] = t
-			res.SinkSlew[m.Sink.ID] = slewFromMoments(m1[m.Node], m2[m.Node])
-		}
-		key := -1
-		if s.Driver != nil {
-			key = s.Driver.ID
-		}
-		for i := range m1 {
-			slew := slewFromMoments(m1[i], m2[i])
-			if slew > res.MaxSlew {
-				res.MaxSlew = slew
-			}
-			if slew > res.StageSlew[key] {
-				res.StageSlew[key] = slew
-			}
-			if slew > limit {
-				res.SlewViol++
-			}
-		}
-	}
-	return res, nil
 }
 
 // slewFromMoments estimates the 10-90% transition time from the first two
@@ -249,6 +238,6 @@ func slewFromMoments(m1, m2 float64) float64 {
 }
 
 var (
-	_ Evaluator = (*Elmore)(nil)
-	_ Evaluator = (*TwoPole)(nil)
+	_ CornerEvaluator = (*Elmore)(nil)
+	_ CornerEvaluator = (*TwoPole)(nil)
 )

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -141,104 +140,4 @@ func TestIncrementalNetSurvivesRestore(t *testing.T) {
 	// Mutations after the restore must be picked up too.
 	randomMove(rng, tr)
 	netsEqual(t, Extract(tr, 0), inc.Sync())
-}
-
-// resultsClose compares evaluator results field by field within tol.
-func resultsClose(t *testing.T, name string, a, b *Result, tol float64) {
-	t.Helper()
-	check := func(what string, ma, mb map[int]float64) {
-		if len(ma) != len(mb) {
-			t.Fatalf("%s: %s size %d vs %d", name, what, len(ma), len(mb))
-		}
-		for id, v := range ma {
-			if w, ok := mb[id]; !ok || math.Abs(v-w) > tol {
-				t.Fatalf("%s: %s[%d] = %v vs %v", name, what, id, v, w)
-			}
-		}
-	}
-	check("rise", a.Rise, b.Rise)
-	check("fall", a.Fall, b.Fall)
-	check("sinkSlew", a.SinkSlew, b.SinkSlew)
-	check("stageSlew", a.StageSlew, b.StageSlew)
-	if math.Abs(a.MaxSlew-b.MaxSlew) > tol || a.SlewViol != b.SlewViol {
-		t.Fatalf("%s: maxSlew %v/%v viol %d/%d", name, a.MaxSlew, b.MaxSlew, a.SlewViol, b.SlewViol)
-	}
-}
-
-// TestIncrementalElmoreParity: property-style — random moves, incremental
-// vs fresh full evaluation, every corner, within 1e-9 ps.
-func TestIncrementalElmoreParity(t *testing.T) {
-	tk := tech.Default45()
-	rng := rand.New(rand.NewSource(3))
-	for iter := 0; iter < 6; iter++ {
-		tr := randomBufferedTree(rng, tk)
-		inc := &IncrementalElmore{}
-		for move := 0; move < 20; move++ {
-			for _, c := range tk.Corners {
-				got, err := inc.Evaluate(tr, c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := (&Elmore{}).Evaluate(tr, c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				resultsClose(t, "elmore", want, got, 1e-9)
-			}
-			randomMove(rng, tr)
-		}
-	}
-}
-
-// TestIncrementalTwoPoleParity: the D2M variant of the same property.
-func TestIncrementalTwoPoleParity(t *testing.T) {
-	tk := tech.Default45()
-	rng := rand.New(rand.NewSource(9))
-	for iter := 0; iter < 6; iter++ {
-		tr := randomBufferedTree(rng, tk)
-		inc := &IncrementalTwoPole{}
-		for move := 0; move < 20; move++ {
-			for _, c := range tk.Corners {
-				got, err := inc.Evaluate(tr, c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := (&TwoPole{}).Evaluate(tr, c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				resultsClose(t, "twopole", want, got, 1e-9)
-			}
-			randomMove(rng, tr)
-		}
-	}
-}
-
-// TestIncrementalElmoreAfterRestore: parity must survive the snapshot
-// restore pattern used by the IVC reject path.
-func TestIncrementalElmoreAfterRestore(t *testing.T) {
-	tk := tech.Default45()
-	rng := rand.New(rand.NewSource(11))
-	tr := randomBufferedTree(rng, tk)
-	inc := &IncrementalElmore{}
-	if _, err := inc.Evaluate(tr, tk.Reference()); err != nil {
-		t.Fatal(err)
-	}
-	snap := tr.Clone()
-	for i := 0; i < 4; i++ {
-		randomMove(rng, tr)
-	}
-	if _, err := inc.Evaluate(tr, tk.Reference()); err != nil {
-		t.Fatal(err)
-	}
-	*tr = *snap
-	got, err := inc.Evaluate(tr, tk.Reference())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := (&Elmore{}).Evaluate(tr, tk.Reference())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resultsClose(t, "elmore-restore", want, got, 1e-9)
 }
