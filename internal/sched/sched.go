@@ -36,7 +36,7 @@
 // and reassembled without changing results. Chunking the evaluation
 // inside one synthesis run performs exactly the same simulations in the
 // same order and only re-times when the worker slot is held, which is
-// what makes pack-vs-fifo bit-parity provable.
+// what makes split and unsplit runs bit-identical.
 //
 // Scheduling never changes results, only ordering and latency; nothing in
 // this package participates in result-cache keys.

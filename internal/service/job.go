@@ -61,8 +61,8 @@ type Job struct {
 	// decides when a result arrives, never what it is.
 	features sched.Features
 	estimate time.Duration
-	// ticket is the job's claim in the packing scheduler's queue (nil
-	// under the fifo scheduler and for cache-hit jobs).
+	// ticket is the job's claim in the scheduler's queue (nil for
+	// cache-hit jobs).
 	ticket *sched.Ticket
 
 	svc  *Service
@@ -154,7 +154,7 @@ func (j *Job) DeadlineMissed() bool {
 }
 
 // tightenDeadline moves the job's soft deadline earlier (never later) and
-// propagates the change to the packing scheduler's queue ranking. A zero
+// propagates the change to the scheduler's queue ranking. A zero
 // deadline is a no-op, so undeadlined coalesced submissions never loosen
 // an existing one.
 func (j *Job) tightenDeadline(d time.Time) {
@@ -169,7 +169,7 @@ func (j *Job) tightenDeadline(d time.Time) {
 	j.deadline = d
 	tk := j.ticket
 	j.mu.Unlock()
-	if tk != nil && j.svc.pool != nil {
+	if tk != nil {
 		j.svc.pool.UpdateDeadline(tk, d)
 	}
 }

@@ -48,8 +48,7 @@ type serviceMetrics struct {
 	ecoJobs    *obs.CounterVec // outcome: cache_hit | done | failed | canceled
 	ecoSpeedup *obs.Histogram  // base wall time over eco wall time
 
-	// Packing-scheduler families (registered under both disciplines so
-	// the exposition is stable; only the pack scheduler moves most of them).
+	// Scheduler families.
 	estRatio  *obs.Histogram    // actual/predicted runtime
 	deadlines *obs.CounterVec   // outcome: hit | miss
 	queueWait *obs.HistogramVec // plan
@@ -118,7 +117,7 @@ func newServiceMetrics(reg *obs.Registry, s *Service) *serviceMetrics {
 		deadlines: reg.CounterVec("contango_sched_deadline_total",
 			"Successfully finished jobs that carried a soft deadline, by outcome.", "outcome"),
 		queueWait: reg.HistogramVec("contango_sched_queue_wait_seconds",
-			"Time jobs waited for a worker slot under the pack scheduler, by plan.",
+			"Time jobs waited for a worker slot, by plan.",
 			passDurationBuckets, "plan"),
 		splits: reg.Counter("contango_sched_splits_total",
 			"Multi-corner evaluations split into schedulable chunks."),
@@ -154,20 +153,10 @@ func newServiceMetrics(reg *obs.Registry, s *Service) *serviceMetrics {
 	reg.GaugeFunc("contango_workers", "Size of the synthesis worker pool.",
 		func() float64 { return float64(s.cfg.Workers) })
 	reg.GaugeFunc("contango_queue_depth", "Jobs waiting for a free worker.",
-		func() float64 {
-			if s.pool != nil {
-				return float64(s.pool.Waiting())
-			}
-			return float64(len(s.queue))
-		})
+		func() float64 { return float64(s.pool.Waiting()) })
 	reg.GaugeFunc("contango_sched_backlog_seconds",
-		"Estimated time for the pack scheduler's queue to drain (0 with a free slot).",
-		func() float64 {
-			if s.pool == nil {
-				return 0
-			}
-			return s.pool.Backlog().Seconds()
-		})
+		"Estimated time for the scheduler's queue to drain (0 with a free slot).",
+		func() float64 { return s.pool.Backlog().Seconds() })
 	reg.GaugeFunc("contango_jobs_inflight", "Jobs currently queued or running (in-flight dedup map size).",
 		func() float64 {
 			s.mu.Lock()

@@ -31,9 +31,7 @@ type QueueEntryWire struct {
 	Yields int `json:"yields,omitempty"`
 }
 
-// QueueWire is the response of GET /api/v1/queue. Under the fifo
-// scheduler only the counts are populated — per-job ranking, backlog and
-// yields exist only in the packing scheduler.
+// QueueWire is the response of GET /api/v1/queue.
 type QueueWire struct {
 	Scheduler string `json:"scheduler"`
 	Slots     int    `json:"slots"`
@@ -54,28 +52,11 @@ type QueueWire struct {
 // QueueInfo snapshots the scheduler state served at GET /api/v1/queue.
 func (s *Service) QueueInfo() QueueWire {
 	w := QueueWire{
-		Scheduler: s.cfg.Scheduler,
+		Scheduler: SchedulerPack,
 		Slots:     s.cfg.Workers,
 		Running:   []QueueEntryWire{},
 		Waiting:   []QueueEntryWire{},
 		Estimator: s.est.Snapshot(),
-	}
-	if s.pool == nil {
-		// Fifo: the channel is the queue; running jobs are whatever the
-		// in-flight set holds in the Running state.
-		w.QueueLen = len(s.queue)
-		running := 0
-		s.mu.Lock()
-		for _, j := range s.inflight {
-			if j.State() == Running {
-				running++
-			}
-		}
-		s.mu.Unlock()
-		if w.FreeSlots = w.Slots - running; w.FreeSlots < 0 {
-			w.FreeSlots = 0
-		}
-		return w
 	}
 	snap := s.pool.Snapshot()
 	w.FreeSlots = snap.Free

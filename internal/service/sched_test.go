@@ -33,11 +33,11 @@ func blockingOpts() (o core.Options, started chan struct{}, release chan struct{
 	return o, started, release
 }
 
-// The tentpole invariant: scheduling decides when a job runs, never what
+// The scheduling invariant: scheduling decides when a job runs, never what
 // it computes. The same submission must produce bit-identical encoded
-// results under the pack scheduler (with aggressive corner splitting) and
-// the fifo baseline.
-func TestPackFifoBitParity(t *testing.T) {
+// results with aggressive corner splitting (a slot yield every two
+// corners) and with splitting disabled.
+func TestSplitCornersBitParity(t *testing.T) {
 	o := fastOpts()
 	o.Corners = "mc:6:1" // wide enough that SplitCorners=2 actually splits
 
@@ -60,20 +60,20 @@ func TestPackFifoBitParity(t *testing.T) {
 		return buf.Bytes()
 	}
 
-	pack := run(Config{Workers: 1, Scheduler: SchedulerPack, SplitCorners: 2})
-	fifo := run(Config{Workers: 1, Scheduler: SchedulerFIFO})
-	if !bytes.Equal(pack, fifo) {
-		t.Fatalf("pack and fifo produced different artifacts (%d vs %d bytes)", len(pack), len(fifo))
+	split := run(Config{Workers: 1, SplitCorners: 2})
+	unsplit := run(Config{Workers: 1, SplitCorners: -1})
+	if !bytes.Equal(split, unsplit) {
+		t.Fatalf("split and unsplit runs produced different artifacts (%d vs %d bytes)", len(split), len(unsplit))
 	}
 }
 
 // Starvation demo: with one worker, a fast interactive job submitted
 // behind a large Monte Carlo sweep must borrow the slot at a corner-chunk
-// boundary and finish while the sweep is still running. The fifo baseline
-// below shows the contrast: there the interactive job waits out the whole
-// sweep.
+// boundary and finish while the sweep is still running. The unsplit
+// control below shows the contrast: there the interactive job waits out
+// the whole sweep.
 func TestPackInteractiveOvertakesSweep(t *testing.T) {
-	svc := New(Config{Workers: 1, Scheduler: SchedulerPack, SplitCorners: 4})
+	svc := New(Config{Workers: 1, SplitCorners: 4})
 	defer svc.Close()
 
 	sweepOpts := fastOpts()
@@ -107,10 +107,11 @@ func TestPackInteractiveOvertakesSweep(t *testing.T) {
 	}
 }
 
-// Fifo control for the demo above: first-in-first-out on one worker means
-// the interactive job cannot start until the sweep is completely done.
-func TestFifoInteractiveWaitsForSweep(t *testing.T) {
-	svc := New(Config{Workers: 1, Scheduler: SchedulerFIFO})
+// Unsplit control for the demo above: with corner splitting disabled a
+// running sweep never yields, so on one worker the interactive job cannot
+// start until the sweep is completely done.
+func TestUnsplitSweepHoldsSlot(t *testing.T) {
+	svc := New(Config{Workers: 1, SplitCorners: -1})
 	defer svc.Close()
 
 	sweepOpts := fastOpts()
@@ -118,6 +119,11 @@ func TestFifoInteractiveWaitsForSweep(t *testing.T) {
 	sweep, err := svc.Submit(tinyBench("sweep", 0), sweepOpts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Let the sweep take the slot before the interactive job shows up.
+	deadline := time.Now().Add(5 * time.Second)
+	for sweep.State() == Queued && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
 	}
 	interactive, err := svc.Submit(tinyBench("interactive", 1), fastOpts())
 	if err != nil {
@@ -127,12 +133,12 @@ func TestFifoInteractiveWaitsForSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sweep.State() != Done {
-		t.Fatalf("fifo: interactive finished while the sweep was still %s", sweep.State())
+		t.Fatalf("unsplit: interactive finished while the sweep was still %s", sweep.State())
 	}
 }
 
 func TestPackAdmissionBacklogError(t *testing.T) {
-	svc := New(Config{Workers: 1, Scheduler: SchedulerPack, MaxQueueWait: time.Millisecond})
+	svc := New(Config{Workers: 1, MaxQueueWait: time.Millisecond})
 	o, started, release := blockingOpts()
 	j, err := svc.Submit(tinyBench("hold", 0), o)
 	if err != nil {
@@ -166,7 +172,7 @@ func TestPackAdmissionBacklogError(t *testing.T) {
 }
 
 func TestPackAdmissionQueueFull(t *testing.T) {
-	svc := New(Config{Workers: 1, Scheduler: SchedulerPack, QueueDepth: 1})
+	svc := New(Config{Workers: 1, QueueDepth: 1})
 	o, started, release := blockingOpts()
 	j, err := svc.Submit(tinyBench("hold", 0), o)
 	if err != nil {
@@ -189,7 +195,7 @@ func TestPackAdmissionQueueFull(t *testing.T) {
 // Backpressure over HTTP: a submission rejected by the backlog bound is a
 // 429 with a Retry-After hint.
 func TestHTTPBackpressureRetryAfter(t *testing.T) {
-	svc := New(Config{Workers: 1, Scheduler: SchedulerPack, MaxQueueWait: time.Millisecond})
+	svc := New(Config{Workers: 1, MaxQueueWait: time.Millisecond})
 	srv := NewServer(svc)
 
 	o, started, release := blockingOpts()
@@ -221,7 +227,7 @@ func TestHTTPBackpressureRetryAfter(t *testing.T) {
 }
 
 func TestDeadlineAccounting(t *testing.T) {
-	svc := New(Config{Workers: 1, Scheduler: SchedulerPack})
+	svc := New(Config{Workers: 1})
 	defer svc.Close()
 
 	// Generous deadline: a hit.
@@ -267,7 +273,7 @@ func TestDeadlineAccounting(t *testing.T) {
 
 // Coalesced identical submissions settle on the earliest deadline.
 func TestCoalesceTightensDeadline(t *testing.T) {
-	svc := New(Config{Workers: 1, Scheduler: SchedulerPack})
+	svc := New(Config{Workers: 1})
 	o, started, release := blockingOpts()
 	j1, err := svc.Submit(tinyBench("co", 0), o)
 	if err != nil {
@@ -292,7 +298,7 @@ func TestCoalesceTightensDeadline(t *testing.T) {
 }
 
 func TestQueueInfoPack(t *testing.T) {
-	svc := New(Config{Workers: 1, Scheduler: SchedulerPack})
+	svc := New(Config{Workers: 1})
 	o, started, release := blockingOpts()
 	hold, err := svc.Submit(tinyBench("run", 0), o)
 	if err != nil {
@@ -346,11 +352,5 @@ func TestQueueEndpointHTTP(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("queue response missing %s:\n%s", want, body)
 		}
-	}
-}
-
-func TestOpenRejectsUnknownScheduler(t *testing.T) {
-	if _, err := Open(Config{Scheduler: "lifo"}); err == nil {
-		t.Fatal("Open accepted an unknown scheduler")
 	}
 }

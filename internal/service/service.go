@@ -33,18 +33,13 @@ import (
 	"contango/internal/store"
 )
 
-// Scheduler disciplines accepted by Config.Scheduler.
-const (
-	// SchedulerPack is the cost-model-driven packing scheduler: jobs are
-	// granted worker slots by estimated core-seconds (shortest first, with
-	// aging and soft-deadline urgency), large corner sweeps yield their slot
-	// at chunk boundaries, and admission is bounded by the estimated queue
-	// wait. Scheduling never changes results — only when they arrive.
-	SchedulerPack = "pack"
-	// SchedulerFIFO is the original channel-based first-in-first-out worker
-	// pool.
-	SchedulerFIFO = "fifo"
-)
+// SchedulerPack names the service's one scheduler, the cost-model-driven
+// packing scheduler, in Stats and the queue view: jobs are granted worker
+// slots by estimated core-seconds (shortest first, with aging and
+// soft-deadline urgency), large corner sweeps yield their slot at chunk
+// boundaries, and admission is bounded by the estimated queue wait.
+// Scheduling never changes results — only when they arrive.
+const SchedulerPack = "pack"
 
 // Config tunes a Service.
 type Config struct {
@@ -97,18 +92,14 @@ type Config struct {
 	// counter lives in it — Stats and the Prometheus exposition are two
 	// renderings of the same registers.
 	Registry *obs.Registry
-	// Scheduler selects the queueing discipline: SchedulerPack (the
-	// default) or SchedulerFIFO. Scheduling shapes latency only, never
-	// results: a job's result and content key are identical under either.
-	Scheduler string
 	// MaxQueueWait, when positive, bounds admission by estimated backlog:
 	// submissions arriving while every slot is busy and the queue is
 	// estimated to take longer than this to drain are rejected with a
 	// *sched.BacklogError carrying a Retry-After hint (HTTP 429). Zero
-	// disables the bound. Pack scheduler only.
+	// disables the bound.
 	MaxQueueWait time.Duration
 	// SplitCorners is the maximum corners a multi-corner evaluation runs
-	// per worker-slot tenure under the pack scheduler: larger evaluations
+	// per worker-slot tenure: larger evaluations
 	// are split into chunks with a cooperative slot yield between them, so
 	// a big Monte Carlo sweep interleaves with interactive jobs instead of
 	// monopolizing a worker. 0 means the default (16); negative disables
@@ -134,9 +125,6 @@ func (c *Config) fill() {
 		if c.JobParallelism < 1 {
 			c.JobParallelism = 1
 		}
-	}
-	if c.Scheduler == "" {
-		c.Scheduler = SchedulerPack
 	}
 	if c.SplitCorners == 0 {
 		c.SplitCorners = 16
@@ -181,7 +169,7 @@ type Stats struct {
 	Rejected       int     `json:"rejected"`        // submissions refused by admission control
 	DeadlineHits   int     `json:"deadline_hits"`   // deadlined jobs that finished in time
 	DeadlineMisses int     `json:"deadline_misses"` // deadlined jobs that finished late (never killed)
-	BacklogSeconds float64 `json:"backlog_seconds"` // estimated queue drain time (pack scheduler)
+	BacklogSeconds float64 `json:"backlog_seconds"` // estimated queue drain time
 }
 
 // Service runs synthesis jobs on a worker pool with content-addressed
@@ -189,16 +177,14 @@ type Stats struct {
 // New for in-memory configurations) and release it with Close or, for a
 // graceful stop that preserves in-flight work in the journal, Shutdown.
 type Service struct {
-	cfg       Config
-	queue     chan *Job   // fifo scheduler only (nil under pack)
-	pool      *sched.Pool // pack scheduler only (nil under fifo)
-	est       *sched.Estimator
-	cache     *resultCache    // nil when caching is disabled
-	st        *store.Store    // nil without DataDir
-	jnl       *store.Journal  // nil without DataDir
-	metrics   *serviceMetrics // all service counters (single source of truth)
-	wg        sync.WaitGroup
-	queueOnce sync.Once // guards close(s.queue) across Close/Shutdown
+	cfg     Config
+	pool    *sched.Pool
+	est     *sched.Estimator
+	cache   *resultCache    // nil when caching is disabled
+	st      *store.Store    // nil without DataDir
+	jnl     *store.Journal  // nil without DataDir
+	metrics *serviceMetrics // all service counters (single source of truth)
+	wg      sync.WaitGroup
 
 	mu       sync.Mutex
 	closed   bool
@@ -217,24 +203,16 @@ type Service struct {
 // an in-memory service.
 func Open(cfg Config) (*Service, error) {
 	cfg.fill()
-	if cfg.Scheduler != SchedulerPack && cfg.Scheduler != SchedulerFIFO {
-		return nil, fmt.Errorf("service: unknown scheduler %q (valid: %s, %s)",
-			cfg.Scheduler, SchedulerPack, SchedulerFIFO)
-	}
 	s := &Service{
-		cfg:      cfg,
-		est:      sched.NewEstimator(sched.DefaultPriors()),
-		jobs:     make(map[string]*Job),
-		inflight: make(map[string]*Job),
-	}
-	if cfg.Scheduler == SchedulerPack {
-		s.pool = sched.NewPool(sched.PoolConfig{
+		cfg: cfg,
+		pool: sched.NewPool(sched.PoolConfig{
 			Slots:      cfg.Workers,
 			MaxWaiting: cfg.QueueDepth,
 			MaxWait:    cfg.MaxQueueWait,
-		})
-	} else {
-		s.queue = make(chan *Job, cfg.QueueDepth)
+		}),
+		est:      sched.NewEstimator(sched.DefaultPriors()),
+		jobs:     make(map[string]*Job),
+		inflight: make(map[string]*Job),
 	}
 	reg := cfg.Registry
 	if reg == nil {
@@ -258,12 +236,6 @@ func Open(cfg Config) (*Service, error) {
 	}
 	if cfg.CacheEntries > 0 {
 		s.cache = newResultCache(cfg.CacheEntries, s.st, s.metrics.cacheMisses, s.metrics.cacheEvictions)
-	}
-	if s.queue != nil {
-		for i := 0; i < cfg.Workers; i++ {
-			s.wg.Add(1)
-			go s.worker()
-		}
 	}
 	s.recoverJournal(recovered)
 	return s, nil
@@ -489,53 +461,35 @@ func (s *Service) SubmitWith(b *bench.Benchmark, o core.Options, so SubmitOpts) 
 		done:         make(chan struct{}),
 	}
 	s.seq++
-	if s.pool != nil {
-		// Pack scheduler: admission bounds (waiting count, estimated
-		// backlog) are checked atomically here; the blocking wait for a
-		// slot happens in the job's own goroutine (runPacked).
-		tk, err := s.pool.Enqueue(sched.Claim{Label: j.id, Estimate: j.estimate, Deadline: deadline})
-		if err != nil {
-			s.mu.Unlock()
-			s.metrics.rejected.Inc()
-			if durable {
-				s.journal("canceled", key)
-			}
-			if errors.Is(err, sched.ErrSaturated) {
-				return nil, ErrQueueFull
-			}
-			return nil, err // *sched.BacklogError with a Retry-After hint
-		}
-		j.ticket = tk
-		s.metrics.submitted.Inc()
-		s.jobs[j.id] = j
-		s.order = append(s.order, j)
-		s.inflight[key] = j
-		s.wg.Add(1)
+	// Admission bounds (waiting count, estimated backlog) are checked
+	// atomically here; the blocking wait for a slot happens in the job's
+	// own goroutine (runPacked).
+	tk, err := s.pool.Enqueue(sched.Claim{Label: j.id, Estimate: j.estimate, Deadline: deadline})
+	if err != nil {
 		s.mu.Unlock()
-		go s.runPacked(j)
-	} else {
-		select {
-		case s.queue <- j:
-		default:
-			s.mu.Unlock()
-			s.metrics.rejected.Inc()
-			if durable {
-				s.journal("canceled", key)
-			}
+		s.metrics.rejected.Inc()
+		if durable {
+			s.journal("canceled", key)
+		}
+		if errors.Is(err, sched.ErrSaturated) {
 			return nil, ErrQueueFull
 		}
-		s.metrics.submitted.Inc()
-		s.jobs[j.id] = j
-		s.order = append(s.order, j)
-		s.inflight[key] = j
-		s.mu.Unlock()
+		return nil, err // *sched.BacklogError with a Retry-After hint
 	}
+	j.ticket = tk
+	s.metrics.submitted.Inc()
+	s.jobs[j.id] = j
+	s.order = append(s.order, j)
+	s.inflight[key] = j
+	s.wg.Add(1)
+	s.mu.Unlock()
+	go s.runPacked(j)
 	s.logf("job %s: queued %s (%d sinks)", j.id, b.Name, len(b.Sinks))
 	s.logJob(j, "job queued", slog.Int("sinks", len(b.Sinks)))
 	return j, nil
 }
 
-// runPacked is the pack scheduler's per-job driver: it waits for the pool
+// runPacked is the per-job driver: it waits for the pool
 // to grant the job a slot (abandoning the wait if the job is canceled
 // first — its done channel closes), runs the job, and releases the slot.
 func (s *Service) runPacked(j *Job) {
@@ -703,15 +657,11 @@ func (s *Service) Stats() Stats {
 	}
 	s.mu.Lock()
 	st.Workers = s.cfg.Workers
-	st.Scheduler = s.cfg.Scheduler
+	st.Scheduler = SchedulerPack
 	st.Jobs = len(s.jobs)
 	s.mu.Unlock()
-	if s.pool != nil {
-		st.QueueLen = s.pool.Waiting()
-		st.BacklogSeconds = s.pool.Backlog().Seconds()
-	} else {
-		st.QueueLen = len(s.queue)
-	}
+	st.QueueLen = s.pool.Waiting()
+	st.BacklogSeconds = s.pool.Backlog().Seconds()
 	if s.cache != nil {
 		st.CacheEntries = s.cache.Len()
 	}
@@ -726,19 +676,8 @@ func (s *Service) Close() {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
-	s.closeQueue()
 	s.wg.Wait()
 	s.closeJournal()
-}
-
-// closeQueue closes the fifo worker queue exactly once (no-op under the
-// pack scheduler, whose per-job goroutines exit through the WaitGroup).
-func (s *Service) closeQueue() {
-	s.queueOnce.Do(func() {
-		if s.queue != nil {
-			close(s.queue)
-		}
-	})
 }
 
 // Shutdown stops the service gracefully: intake stops immediately, then
@@ -752,7 +691,6 @@ func (s *Service) Shutdown(ctx context.Context) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		s.closeQueue()
 		s.wg.Wait()
 		s.closeJournal()
 		return
@@ -777,7 +715,6 @@ func (s *Service) Shutdown(ctx context.Context) {
 		s.mu.Unlock()
 		s.CancelAll()
 	}
-	s.closeQueue()
 	s.wg.Wait()
 	s.closeJournal()
 }
@@ -794,14 +731,6 @@ func (s *Service) closeJournal() {
 func (s *Service) CancelAll() {
 	for _, j := range s.Jobs() {
 		j.Cancel()
-	}
-}
-
-// worker pulls jobs off the queue until the service closes.
-func (s *Service) worker() {
-	defer s.wg.Done()
-	for j := range s.queue {
-		s.run(j)
 	}
 }
 
@@ -844,13 +773,13 @@ func (s *Service) run(j *Job) {
 		root.ChildSpan("queue_wait", j.enqueued, started)
 	}
 
-	// Under the pack scheduler, wrap the accurate evaluator so large
+	// Wrap the accurate evaluator so large
 	// multi-corner evaluations run in chunks with a cooperative slot yield
 	// between them: a waiting job (an urgent or short one, by the pool's
 	// ranking) borrows the slot while a big sweep is mid-flight. The shim
 	// changes only when simulations run, never which — results and cache
 	// keys are bit-identical with and without it.
-	if tk := j.ticket; tk != nil && s.cfg.SplitCorners > 0 {
+	if tk := j.ticket; s.cfg.SplitCorners > 0 {
 		userWrap := o.WrapEval
 		o.WrapEval = func(ev analysis.Evaluator) analysis.Evaluator {
 			if userWrap != nil {
