@@ -81,12 +81,6 @@ func (m *Maze) center(i, j int) Point {
 	return Point{m.die.MinX + float64(i)*m.step, m.die.MinY + float64(j)*m.step}
 }
 
-// Blocked reports whether the cell containing p is blocked.
-func (m *Maze) Blocked(p Point) bool {
-	i, j := m.cellOf(p)
-	return m.blocked[j*m.nx+i]
-}
-
 // ErrNoRoute is returned when the maze holds no path between the endpoints.
 var ErrNoRoute = errors.New("geom: no obstacle-avoiding route exists")
 

@@ -31,9 +31,6 @@ func (r Rect) H() float64 { return r.MaxY - r.MinY }
 // Area returns the area of r.
 func (r Rect) Area() float64 { return r.W() * r.H() }
 
-// Center returns the center point of r.
-func (r Rect) Center() Point { return Point{(r.MinX + r.MaxX) / 2, (r.MinY + r.MaxY) / 2} }
-
 // Contains reports whether p lies inside r (boundary inclusive).
 func (r Rect) Contains(p Point) bool {
 	return p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY

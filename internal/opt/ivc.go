@@ -172,12 +172,6 @@ func (cx *Context) worse(base, cand eval.Metrics) bool {
 	return false
 }
 
-// LastMetrics returns the most recent cached CNE metrics; ok is false when
-// no evaluation has run since the last invalidation.
-func (cx *Context) LastMetrics() (m eval.Metrics, ok bool) {
-	return cx.lastMetrics, cx.haveCNE
-}
-
 // improveLoop runs mutate-evaluate-check rounds until the objective stops
 // improving, a violation appears, or the round budget is exhausted. Each
 // round's mutate callback returns false when it has nothing left to try.

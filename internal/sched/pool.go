@@ -132,9 +132,6 @@ func NewPool(cfg PoolConfig) *Pool {
 	}
 }
 
-// Slots returns the pool's slot count.
-func (p *Pool) Slots() int { return p.slots }
-
 // Enqueue admits a claim, returning its ticket. The ticket may already be
 // granted on return (free slot); the caller must Await it either way and
 // Release it when done. Admission is bounded by MaxWaiting (ErrSaturated)

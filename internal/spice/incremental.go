@@ -123,20 +123,6 @@ func (ie *Incremental) BatchHint() int {
 	return h
 }
 
-// Reset drops every cached stage result and the cached extraction. Call it
-// after changing Eng's integration parameters.
-func (ie *Incremental) Reset() {
-	tr := ie.tree
-	ie.inc = nil
-	ie.bind(tr)
-}
-
-// Net returns the extractor's current staged netlist view (syncing it with
-// the tree first).
-func (ie *Incremental) Net() *analysis.Net {
-	return ie.inc.Sync()
-}
-
 // Evaluate implements analysis.Evaluator with per-stage caching and
 // parallel dirty-cone simulation.
 func (ie *Incremental) Evaluate(tr *ctree.Tree, corner tech.Corner) (*analysis.Result, error) {

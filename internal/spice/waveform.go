@@ -50,14 +50,6 @@ func (w *Waveform) End() float64 {
 	return w.T0 + float64(len(w.V)-1)*w.Dt
 }
 
-// Last returns the final sampled value (or V0 when empty).
-func (w *Waveform) Last() float64 {
-	if len(w.V) == 0 {
-		return w.V0
-	}
-	return w.V[len(w.V)-1]
-}
-
 // Trim drops leading samples that stay within tol of V0, keeping one sample
 // of margin, and returns the trimmed waveform. Trimming lets downstream
 // stages start their windows when their input actually begins to move.
