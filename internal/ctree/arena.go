@@ -22,11 +22,14 @@ import (
 // bitmap here: every journaling mutator sets the touched slot's bit in
 // Dirty, and the setter no-op conditions match the pointer tree's exactly,
 // so a mutation sequence mirrored onto both representations marks the
-// identical node set (the property test in arena_prop_test.go pins this).
+// identical node set (the property test in arena_property_test.go pins
+// this).
 //
-// Construction (DME, routing, buffer insertion) stays pointer-based;
-// analysis-side consumers and the result codec move between the two forms
-// with the lossless FromTree/ToTree converters.
+// Construction (DME, routing, buffer insertion, polarity correction) runs
+// on the arena only. The evaluators, the optimization cascade and the
+// result codec work on the pointer tree; ToTree materializes it once
+// construction is done, and FromTree converts back losslessly: the codec
+// encodes through it, and the ECO pass rebuilds its base arena with it.
 type Arena struct {
 	Tech    *tech.Tech
 	SourceR float64

@@ -99,11 +99,11 @@ type Config struct {
 	// disables the bound.
 	MaxQueueWait time.Duration
 	// SplitCorners is the maximum corners a multi-corner evaluation runs
-	// per worker-slot tenure: larger evaluations
-	// are split into chunks with a cooperative slot yield between them, so
-	// a big Monte Carlo sweep interleaves with interactive jobs instead of
-	// monopolizing a worker. 0 means the default (16); negative disables
-	// splitting. Splitting never changes results.
+	// per worker-slot tenure: larger evaluations are split into chunks
+	// with a cooperative slot yield between them, so a big Monte Carlo
+	// sweep interleaves with interactive jobs instead of monopolizing a
+	// worker. 0 means the default (16); negative disables splitting.
+	// Splitting never changes results.
 	SplitCorners int
 }
 

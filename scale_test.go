@@ -1,7 +1,7 @@
 // Scale harness: the million-sink-class benchmark CI gates. The large-
 // instance data path is timed phase by phase — streaming load of a generated
-// TI-scale case, arena-native DME construction, arena buffering, the batched
-// multi-corner closed-form kernels, and the arena/pointer round-trip — and
+// TI-scale case, arena-native DME construction, arena buffering, multi-corner
+// closed-form evaluation, and the arena/pointer round-trip — and
 // every phase reports peak RSS next to the standard ns/B/allocs columns so a
 // memory blowup fails the bench gate rather than only the CI runner. A
 // gated full-million construction row measures the top of the curve.
@@ -122,10 +122,11 @@ func BenchmarkMillionSink(b *testing.B) {
 
 	b.Run("eval", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			// Batched closed-form evaluation: all five corners in one
-			// topology sweep (transient simulation is the small-instance
-			// tool; at this size the closed-form kernels are the product
-			// path).
+			// Closed-form evaluation of all five corners: one extraction
+			// shared by the corners, then the single-corner Elmore
+			// recurrence per corner (transient simulation is the
+			// small-instance tool; at this size the closed-form model is
+			// the product path).
 			e := &analysis.Elmore{}
 			rs, err := e.EvaluateCorners(tr, cs.Corners)
 			if err != nil {
